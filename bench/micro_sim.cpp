@@ -17,10 +17,15 @@
  * count handed to the sharded parallel executor (1 = reference serial
  * loop). BM_SimulatorScale runs generated geo-distributed clusters at
  * 1k/10k nodes for the serial-vs-parallel scaling numbers recorded in
- * BENCH_sim.json.
+ * BENCH_sim.json, and reports the process's peak resident set size
+ * (`peak_rss_mb`, getrusage) so the memory cost of per-link state at
+ * scale is recorded next to the time. Peak RSS is process-wide: run
+ * one configuration per process (--benchmark_filter) to attribute it.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <sys/resource.h>
 
 #include <chrono>
 
@@ -228,6 +233,11 @@ BM_SimulatorScale(benchmark::State &state)
     }
     state.counters["completed"] = static_cast<double>(
         completed / std::max<long>(1, state.iterations()));
+    struct rusage usage = {};
+    getrusage(RUSAGE_SELF, &usage);
+    // ru_maxrss is in KiB on Linux.
+    state.counters["peak_rss_mb"] =
+        static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 BENCHMARK(BM_SimulatorScale)
     ->Args({1000, 1})

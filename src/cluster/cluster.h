@@ -3,16 +3,21 @@
  * Cluster topology: compute nodes, network links, and generators for
  * the three cluster setups evaluated in the paper (Sec. 6.2).
  *
- * A cluster contains one coordinator node and N compute nodes. Network
- * connectivity is a full (N+1)x(N+1) matrix of directed links, each
- * with a bandwidth and a propagation latency; generators fill the
- * matrix from region assignments (intra-region fast, inter-region
- * slow).
+ * A cluster contains one coordinator node and N compute nodes. Every
+ * ordered endpoint pair has a directed link with a bandwidth and a
+ * propagation latency, but the links are not stored pair by pair:
+ * endpoints fall into link classes (one per region, plus the
+ * coordinator as its own class), a class-pair table holds the default
+ * link of every (class, class) combination, and a sorted list holds
+ * the few pairs whose link differs from their class default. Memory
+ * is O(N + classes^2 + overrides), so a generated 10k-node cluster
+ * costs kilobytes of link state instead of gigabytes.
  */
 
 #ifndef HELIX_CLUSTER_CLUSTER_H
 #define HELIX_CLUSTER_CLUSTER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -70,12 +75,21 @@ struct LinkSpec
 
 /**
  * A heterogeneous serving cluster: coordinator + compute nodes +
- * directed link matrix.
+ * directed links (class-pair defaults plus per-pair overrides).
  */
 class ClusterSpec
 {
   public:
-    /** Add a compute node; returns its index. */
+    /** One directed link record, for bulk construction. */
+    struct LinkEntry
+    {
+        NodeIndex from = kCoordinator;
+        NodeIndex to = kCoordinator;
+        LinkSpec spec;
+    };
+
+    /** Add a compute node; returns its index. Nodes must all be added
+     *  before the first link is set. */
     NodeIndex addNode(NodeSpec node);
 
     int numNodes() const { return static_cast<int>(nodes.size()); }
@@ -84,8 +98,9 @@ class ClusterSpec
 
     /**
      * Set the directed link between @p from and @p to (either may be
-     * kCoordinator). Must be called after all nodes are added, or use
-     * setUniformLinks()/connectRegions() helpers.
+     * kCoordinator). Links not set yet are zero. Stores a per-pair
+     * override only when @p link differs from the pair's class
+     * default; setting a pair back to its default drops the override.
      */
     void setLink(NodeIndex from, NodeIndex to, LinkSpec link);
 
@@ -93,21 +108,54 @@ class ClusterSpec
     const LinkSpec &link(NodeIndex from, NodeIndex to) const;
 
     /**
-     * Fill the whole link matrix with a single bandwidth/latency
-     * (homogeneous network).
+     * Give every link, self links included, a single bandwidth and
+     * latency (homogeneous network).
      */
     void setUniformLinks(double bandwidth_bps, double latency_s);
 
     /**
-     * Fill the link matrix from region assignments: intra-region pairs
-     * get the intra link, inter-region pairs get the inter link. The
-     * coordinator is placed in @p coordinator_region.
+     * Set links from region assignments: intra-region pairs get the
+     * intra link, inter-region pairs get the inter link, self links
+     * are zero. The coordinator is placed in @p coordinator_region.
      */
     void connectRegions(LinkSpec intra, LinkSpec inter,
                         int coordinator_region = 0);
 
+    /**
+     * Replace every link with @p entries (the last entry for a pair
+     * wins); pairs not listed are zero. A class pair whose every
+     * endpoint pair is listed takes its first listed value as the
+     * default, so a cluster whose links follow its regions collapses
+     * back into the class table with no overrides. O(E log E) for E
+     * entries, with no per-entry inserts.
+     */
+    void assignLinks(std::vector<LinkEntry> entries);
+
+    /**
+     * The cluster restricted to @p members (in that order, renumbered
+     * 0..m-1): same node hardware, same links among the members and
+     * to the coordinator, same classes; self links are zero. Costs
+     * O(m + classes^2 + overrides) instead of m^2 setLink calls.
+     */
+    ClusterSpec subCluster(const std::vector<NodeIndex> &members) const;
+
     /** Region the coordinator lives in (set by connectRegions). */
     int coordinatorRegion() const { return coordRegion; }
+
+    /** Number of link classes: distinct node regions + coordinator. */
+    int numLinkClasses() const { return numClasses; }
+
+    /** Number of pairs whose link differs from their class default. */
+    size_t numLinkOverrides() const { return overrides.size(); }
+
+    /**
+     * Minimum propagation latency over every directed link between
+     * distinct endpoints (infinity with no such link). Computed from
+     * the class table and the overrides: a (c, c) class pair counts
+     * only when class c has at least two endpoints, and a class
+     * default counts only when some pair still uses it.
+     */
+    double minLinkLatency() const;
 
     /** Sum of node compute capacities in TFLOPs. */
     double totalTflops() const;
@@ -116,12 +164,36 @@ class ClusterSpec
     std::string summary() const;
 
   private:
-    /** Map an endpoint (kCoordinator or node index) to a matrix row. */
-    int matrixIndex(NodeIndex index) const;
+    /** Assign link classes from node regions and zero every link
+     *  (first link-setting call only). */
+    void ensureLinkClasses();
+
+    /** Link class of an endpoint: 0 for the coordinator, 1 + the rank
+     *  of the node's region among the distinct regions otherwise. */
+    int linkClass(NodeIndex endpoint) const;
+
+    /** The link a pair has when no override names it. */
+    const LinkSpec &defaultLink(NodeIndex from, NodeIndex to) const;
+
+    /** Endpoint pairs (from != to) in class pair (@p a, @p b). */
+    int64_t classPairSize(int a, int b) const;
 
     std::vector<NodeSpec> nodes;
-    /** (numNodes+1)^2 links; row/col 0 is the coordinator. */
-    std::vector<LinkSpec> links;
+    /** Link class per endpoint, indexed by endpoint + 1; empty until
+     *  the first link is set. */
+    std::vector<int> endpointClass;
+    /** Region of each node class (index class - 1), ascending. */
+    std::vector<int> classRegion;
+    /** Endpoints per class. */
+    std::vector<int> classSize;
+    int numClasses = 0;
+    /** numClasses^2 class-pair defaults, row-major (from, to). */
+    std::vector<LinkSpec> classLinks;
+    /** Default link of an endpoint to itself. */
+    LinkSpec selfLink;
+    /** Pairs whose link differs from the default, sorted by
+     *  (from, to). */
+    std::vector<LinkEntry> overrides;
     int coordRegion = 0;
 };
 

@@ -209,9 +209,9 @@ struct SweepConfig
 
 /**
  * Node count of the cluster @p name resolves to, without
- * materializing it — for a generated cluster this skips building the
- * O(nodes^2) link matrix, so validation of e.g. "gen:...:1000:7"
- * stays O(1). Nullopt exactly when clusterByName would fail.
+ * materializing it — for a generated cluster this skips generating
+ * its nodes, so validation of e.g. "gen:...:1000:7" stays O(1).
+ * Nullopt exactly when clusterByName would fail.
  */
 [[nodiscard]] std::optional<int> clusterNodeCountByName(const std::string &name);
 

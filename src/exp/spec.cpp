@@ -67,8 +67,7 @@ validateSpec(const io::ExperimentSpec &spec, io::ParseError *error)
     int min_nodes = -1;
     for (const io::SpecName &name : spec.clusters) {
         // Node-count lookup only: resolving a generated cluster here
-        // would materialize its O(nodes^2) link matrix just to
-        // validate the name.
+        // would generate all of its nodes just to validate the name.
         auto num_nodes = clusterNodeCountByName(name.value);
         if (!num_nodes) {
             setError(error, name.line,

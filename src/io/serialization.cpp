@@ -264,7 +264,8 @@ clusterFromString(const std::string &text, ParseError &error)
     }
     if (clus.numNodes() == 0)
         return fail(error, 0, "cluster has no node records");
-    clus.setUniformLinks(0.0, 0.0);
+    std::vector<cluster::ClusterSpec::LinkEntry> entries;
+    entries.reserve(links.size());
     for (const PendingLink &link : links) {
         if (link.from < cluster::kCoordinator ||
             link.from >= clus.numNodes() ||
@@ -277,8 +278,10 @@ clusterFromString(const std::string &text, ParseError &error)
                             std::to_string(clus.numNodes()) +
                             " nodes");
         }
-        clus.setLink(link.from, link.to, link.spec);
+        entries.push_back({link.from, link.to, link.spec});
     }
+    // Collapses region-structured links back into the class table.
+    clus.assignLinks(std::move(entries));
     return clus;
 }
 

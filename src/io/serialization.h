@@ -52,7 +52,7 @@ struct ParseError
     [[nodiscard]] std::string str() const;
 };
 
-/** Serialize a cluster (nodes + full link matrix). */
+/** Serialize a cluster (nodes + one record per directed link). */
 [[nodiscard]] std::string clusterToString(const cluster::ClusterSpec &cluster);
 
 /** Parse a cluster; on failure returns nullopt and fills @p error. */

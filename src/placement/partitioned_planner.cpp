@@ -24,35 +24,6 @@ layerCapacity(const Partition &members,
     return capacity;
 }
 
-/**
- * Build a sub-cluster containing only @p members, preserving node
- * hardware and the links among them (and to the coordinator).
- */
-cluster::ClusterSpec
-subCluster(const cluster::ClusterSpec &cluster,
-           const Partition &members)
-{
-    cluster::ClusterSpec sub;
-    for (int node : members)
-        sub.addNode(cluster.node(node));
-    // Materialize the link matrix member-by-member.
-    sub.setUniformLinks(0.0, 0.0);
-    int m = static_cast<int>(members.size());
-    for (int a = cluster::kCoordinator; a < m; ++a) {
-        for (int b = cluster::kCoordinator; b < m; ++b) {
-            if (a == b)
-                continue;
-            int from = a == cluster::kCoordinator
-                           ? cluster::kCoordinator
-                           : members[a];
-            int to = b == cluster::kCoordinator ? cluster::kCoordinator
-                                                : members[b];
-            sub.setLink(a, b, cluster.link(from, to));
-        }
-    }
-    return sub;
-}
-
 } // namespace
 
 std::vector<Partition>
@@ -140,7 +111,7 @@ PartitionedPlanner::plan(const cluster::ClusterSpec &cluster,
         inner_config.timeBudgetSeconds =
             std::max(0.0, cfg.timeBudgetSeconds - elapsed) /
             static_cast<double>(lastPartitions.size() - p);
-        cluster::ClusterSpec sub = subCluster(cluster, members);
+        cluster::ClusterSpec sub = cluster.subCluster(members);
         HelixPlanner inner(inner_config);
         ModelPlacement sub_placement = inner.plan(sub, profiler);
         for (size_t i = 0; i < members.size(); ++i)

@@ -13,6 +13,7 @@ ConnectionFilter::allowAll(int num_nodes)
 {
     ConnectionFilter filter;
     filter.side = num_nodes;
+    // helix-lint: allow(pair-matrix) planning-time MILP pruning mask over compute pairs; never built on the serving path
     filter.mask.assign(static_cast<size_t>(num_nodes) * num_nodes, true);
     return filter;
 }
@@ -24,6 +25,7 @@ ConnectionFilter::pruneByBandwidth(const cluster::ClusterSpec &cluster,
     int n = cluster.numNodes();
     ConnectionFilter filter;
     filter.side = n;
+    // helix-lint: allow(pair-matrix) planning-time MILP pruning mask over compute pairs; never built on the serving path
     filter.mask.assign(static_cast<size_t>(n) * n, false);
     for (int from = 0; from < n; ++from) {
         // Rank outgoing links by bandwidth and keep the fastest ones.
@@ -84,8 +86,7 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
     const int n = cluster.numNodes();
     const int num_layers = profiler.modelSpec().numLayers;
     side = n + 1;
-    connEdge.assign(static_cast<size_t>(side) * side,
-                    flow::kInvalidEdge);
+    connRows.resize(side);
 
     src = net.addNode("source");
     dst = net.addNode("sink");
@@ -107,13 +108,28 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         }
         compEdge[i] = net.addEdge(inV[i], outV[i], throughput);
     }
+    constexpr int kNoEndpoint = cluster::kCoordinator - 1;
+    vertexEndpoint.assign(net.numNodes(), kNoEndpoint);
+    vertexIsIn.assign(net.numNodes(), false);
+    vertexEndpoint[src] = cluster::kCoordinator;
+    vertexEndpoint[dst] = cluster::kCoordinator;
+    for (int i = 0; i < n; ++i) {
+        if (inV[i] == flow::kInvalidNode)
+            continue;
+        vertexEndpoint[inV[i]] = i;
+        vertexEndpoint[outV[i]] = i;
+        vertexIsIn[inV[i]] = true;
+    }
 
     auto addConnection = [&](int from, int to, double capacity) {
         flow::NodeId a = (from == cluster::kCoordinator) ? src
                                                          : outV[from];
         flow::NodeId b = (to == cluster::kCoordinator) ? dst : inV[to];
-        flow::EdgeId id = net.addEdge(a, b, capacity);
-        connEdge[key(from, to)] = id;
+        // Rows fill in ascending `to` order: the coordinator link
+        // (kCoordinator) comes first, then nodes in index order.
+        std::vector<Connection> &row = connRows[from + 1];
+        HELIX_ASSERT(row.empty() || row.back().to < to);
+        row.push_back({to, net.addEdge(a, b, capacity)});
     };
 
     const double act_bytes = profiler.activationBytes();
@@ -151,12 +167,17 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
     }
 }
 
-int
-PlacementGraph::key(int from, int to) const
+flow::EdgeId
+PlacementGraph::connectionEdge(int from, int to) const
 {
     HELIX_ASSERT(from >= cluster::kCoordinator && from < side - 1);
     HELIX_ASSERT(to >= cluster::kCoordinator && to < side - 1);
-    return (from + 1) * side + (to + 1);
+    const std::vector<Connection> &row = connRows[from + 1];
+    auto it = std::lower_bound(
+        row.begin(), row.end(), to,
+        [](const Connection &c, int key) { return c.to < key; });
+    return (it != row.end() && it->to == to) ? it->edge
+                                             : flow::kInvalidEdge;
 }
 
 double
@@ -210,14 +231,14 @@ PlacementGraph::nodeFlow(int node) const
 bool
 PlacementGraph::hasConnection(int from, int to) const
 {
-    return connEdge[key(from, to)] != flow::kInvalidEdge;
+    return connectionEdge(from, to) != flow::kInvalidEdge;
 }
 
 double
 PlacementGraph::connectionFlow(int from, int to) const
 {
     HELIX_ASSERT(cachedFlow.has_value());
-    flow::EdgeId id = connEdge[key(from, to)];
+    flow::EdgeId id = connectionEdge(from, to);
     if (id == flow::kInvalidEdge)
         return 0.0;
     return net.flowOn(id);
@@ -228,17 +249,12 @@ PlacementGraph::connections() const
 {
     std::vector<ConnectionInfo> result;
     for (int from = cluster::kCoordinator; from < side - 1; ++from) {
-        for (int to = cluster::kCoordinator; to < side - 1; ++to) {
-            if (from == to)
-                continue;
-            flow::EdgeId id = connEdge[key(from, to)];
-            if (id == flow::kInvalidEdge)
-                continue;
+        for (const Connection &conn : connRows[from + 1]) {
             ConnectionInfo info;
             info.from = from;
-            info.to = to;
-            info.capacity = net.edge(id).originalCapacity;
-            info.flow = cachedFlow ? net.flowOn(id) : 0.0;
+            info.to = conn.to;
+            info.capacity = net.edge(conn.edge).originalCapacity;
+            info.flow = cachedFlow ? net.flowOn(conn.edge) : 0.0;
             result.push_back(info);
         }
     }
@@ -262,23 +278,19 @@ PlacementGraph::outVertex(int node) const
 int
 PlacementGraph::clusterEndpoint(flow::NodeId vertex) const
 {
-    if (vertex == src || vertex == dst)
-        return cluster::kCoordinator;
-    for (int i = 0; i < side - 1; ++i) {
-        if (inV[i] == vertex || outV[i] == vertex)
-            return i;
-    }
-    HELIX_PANIC("unknown flow vertex %d", vertex);
+    if (vertex < 0 ||
+        static_cast<size_t>(vertex) >= vertexEndpoint.size() ||
+        vertexEndpoint[vertex] < cluster::kCoordinator)
+        HELIX_PANIC("unknown flow vertex %d", vertex);
+    return vertexEndpoint[vertex];
 }
 
 bool
 PlacementGraph::isInVertex(flow::NodeId vertex) const
 {
-    for (int i = 0; i < side - 1; ++i) {
-        if (inV[i] == vertex)
-            return true;
-    }
-    return false;
+    return vertex >= 0 &&
+           static_cast<size_t>(vertex) < vertexIsIn.size() &&
+           vertexIsIn[vertex];
 }
 
 double

@@ -182,12 +182,24 @@ class PlacementGraph
     std::vector<flow::NodeId> outV;
     /** Compute edge (in -> out) per node; kInvalidEdge if no layers. */
     std::vector<flow::EdgeId> compEdge;
-    /** Edge id per directed connection, keyed by (from+1)*side+(to+1). */
-    std::vector<flow::EdgeId> connEdge;
+    /** One directed connection leaving a row's source endpoint. */
+    struct Connection
+    {
+        int to = 0;
+        flow::EdgeId edge = flow::kInvalidEdge;
+    };
+    /** Connections per source endpoint (index from + 1, row 0 = the
+     *  coordinator), sorted by `to`: O(edges), not O(endpoints^2). */
+    std::vector<std::vector<Connection>> connRows;
+    /** Cluster endpoint of each flow vertex (kCoordinator for source
+     *  and sink), and whether the vertex is an in-vertex. */
+    std::vector<int> vertexEndpoint;
+    std::vector<bool> vertexIsIn;
     int side = 0;
     std::optional<double> cachedFlow;
 
-    int key(int from, int to) const;
+    /** Edge of the (from, to) connection, or kInvalidEdge. */
+    flow::EdgeId connectionEdge(int from, int to) const;
 };
 
 /**

@@ -174,6 +174,10 @@ class ParallelExecutor
     HELIX_LANE_SAFE
     void route(ClusterSimulator::Event event, ParallelLane *from);
 
+    /** Lane owning @p node's events (fixed for the whole run). */
+    HELIX_LANE_SAFE
+    int nodeLane(int node) const { return laneOfNode[node]; }
+
     /** Coordinator-phase views of node state (mirror when active,
      *  live state during barrier steps and outside rounds). */
     HELIX_COORDINATOR_ONLY int viewInFlight(int node) const;

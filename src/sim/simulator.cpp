@@ -77,20 +77,9 @@ ClusterSimulator::ClusterSimulator(
             1, static_cast<int>(token_layers / per_request));
     }
 
-    side = n + 1;
-    links.resize(static_cast<size_t>(side) * side);
-    for (int from = cluster::kCoordinator; from < n; ++from) {
-        for (int to = cluster::kCoordinator; to < n; ++to) {
-            if (from == to)
-                continue;
-            LinkState &ls = linkState(from, to);
-            ls.stat.from = from;
-            ls.stat.to = to;
-            const cluster::LinkSpec &spec = cluster_spec.link(from, to);
-            ls.bytesPerSecond = spec.bytesPerSecond();
-            ls.latencyS = spec.latencyS;
-        }
-    }
+    // Link state is created on first use (linkState), one row per
+    // source endpoint: memory follows the links a run touches.
+    linkRows.resize(static_cast<size_t>(n) + 1);
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
@@ -98,7 +87,25 @@ ClusterSimulator::~ClusterSimulator() = default;
 ClusterSimulator::LinkState &
 ClusterSimulator::linkState(int from, int to)
 {
-    return links[static_cast<size_t>(from + 1) * side + (to + 1)];
+    // Row ownership: a lane touches only its own nodes' rows and the
+    // coordinator only row 0, so rows grow without synchronization.
+    HELIX_ASSERT(par == nullptr || tlsLane == nullptr ||
+                 tlsLane->id == (from == cluster::kCoordinator
+                                     ? 0
+                                     : par->nodeLane(from)));
+    std::vector<LinkState> &row = linkRows[static_cast<size_t>(from + 1)];
+    auto it = std::lower_bound(
+        row.begin(), row.end(), to,
+        [](const LinkState &ls, int key) { return ls.stat.to < key; });
+    if (it != row.end() && it->stat.to == to)
+        return *it;
+    LinkState fresh;
+    fresh.stat.from = from;
+    fresh.stat.to = to;
+    const cluster::LinkSpec &spec = clusterRef.link(from, to);
+    fresh.bytesPerSecond = spec.bytesPerSecond();
+    fresh.latencyS = spec.latencyS;
+    return *row.insert(it, fresh);
 }
 
 bool
@@ -1039,14 +1046,18 @@ ClusterSimulator::restartRequest(int request_index, int skip_node)
         rs.kvWritten[s] = 0.0;
     }
     sched.onRequestFinished(rs.request, rs.pipeline);
-    if (fair != nullptr)
-        fair->onPreempted(tenantOf(request_index));
+    // It will be admitted again: un-count it, per tenant too.
+    --metrics.requestsAdmitted;
+    if (fair != nullptr) {
+        const int t = tenantOf(request_index);
+        fair->onPreempted(t);
+        --metrics.tenantStats[static_cast<size_t>(t)].requestsAdmitted;
+    }
     rs.admitted = false;
     rs.restartedEver = true;
     rs.generated = 0;
     rs.firstTokenTime = -1.0;
     ++rs.epoch;
-    --metrics.requestsAdmitted; // It will be admitted again.
 }
 
 void
@@ -1164,27 +1175,6 @@ ClusterSimulator::churnSchedule() const
     return churn;
 }
 
-double
-ClusterSimulator::minLinkLatency() const
-{
-    // Minimum propagation latency over every directed link, including
-    // the coordinator rows: the conservative lookahead of the parallel
-    // executor. A zero anywhere means no safe horizon exists and the
-    // run falls back to the serial loop.
-    double best = std::numeric_limits<double>::infinity();
-    const int n = static_cast<int>(nodes.size());
-    for (int from = cluster::kCoordinator; from < n; ++from) {
-        for (int to = cluster::kCoordinator; to < n; ++to) {
-            if (from == to)
-                continue;
-            const LinkState &ls =
-                links[static_cast<size_t>(from + 1) * side + (to + 1)];
-            best = std::min(best, ls.latencyS);
-        }
-    }
-    return best;
-}
-
 void
 ClusterSimulator::runSerialLoop(const std::vector<ChurnEvent> &churn,
                                 double end_time)
@@ -1242,7 +1232,7 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
         // later — the same conservative window the parallel executor
         // rounds on, so a Preempt event is always beyond the horizon
         // of the round that scheduled it.
-        preemptDelayS = minLinkLatency();
+        preemptDelayS = clusterRef.minLinkLatency();
         if (!std::isfinite(preemptDelayS))
             preemptDelayS = 0.0;
         // Shares divide the live serving capacity: the topology
@@ -1263,10 +1253,13 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
 
     const double end_time = cfg.warmupSeconds + cfg.measureSeconds;
     std::vector<ChurnEvent> churn = churnSchedule();
-    // The sharded executor needs a positive conservative lookahead;
-    // single-node clusters and sim_threads <= 1 use the serial loop.
+    // The sharded executor needs a positive conservative lookahead:
+    // the minimum propagation latency over every directed link,
+    // coordinator links included. A zero anywhere means no safe
+    // horizon exists; that, single-node clusters and sim_threads <= 1
+    // use the serial loop.
     const double lambda =
-        cfg.simThreads > 1 ? minLinkLatency() : 0.0;
+        cfg.simThreads > 1 ? clusterRef.minLinkLatency() : 0.0;
     if (cfg.simThreads > 1 && lambda > 0.0 && nodes.size() > 1) {
         ParallelExecutor executor(*this, cfg.simThreads, lambda,
                                   churn, end_time);
@@ -1312,9 +1305,13 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
                 : 0.0;
     }
     if (cfg.collectLinkStats) {
-        for (const LinkState &ls : links) {
-            if (ls.stat.transfers > 0)
-                metrics.linkStats.push_back(ls.stat);
+        // Rows by source, each sorted by destination: row-major
+        // (from, to) order, the coordinator first.
+        for (const std::vector<LinkState> &row : linkRows) {
+            for (const LinkState &ls : row) {
+                if (ls.stat.transfers > 0)
+                    metrics.linkStats.push_back(ls.stat);
+            }
         }
     }
     if (fair != nullptr) {

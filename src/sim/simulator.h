@@ -687,6 +687,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /** Whether @p t falls inside the measurement window. */
     bool inWindow(double t) const;
 
+    /** State of link (from, to), created on first use. Callable only
+     *  from the context owning @p from (see linkRows). */
+    HELIX_LANE_SAFE
     LinkState &linkState(int from, int to);
 
     /**
@@ -696,10 +699,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * Every handler reads time through this accessor.
      */
     double curTime() const;
-
-    /** Minimum propagation latency over all directed links — the
-     *  conservative lookahead window of the parallel executor. */
-    double minLinkLatency() const;
 
     /** Merged + filtered churn schedule (legacy pair first, then the
      *  event list, stably ordered by time). */
@@ -732,8 +731,14 @@ class ClusterSimulator : public scheduler::SchedulerContext
     std::vector<RequestState> requests;
     /** Admission queue: coordinator-phase state, like the arbiter. */
     HELIX_COORDINATOR_ONLY std::deque<int> pending;
-    std::vector<LinkState> links; // (side)^2, row 0 = coordinator
-    int side = 0;
+    /**
+     * Link state per source endpoint (index from + 1, row 0 = the
+     * coordinator), each row sorted by destination; an entry is
+     * created on the link's first use. Row r is touched only by its
+     * owning context (node r - 1's lane, the coordinator for row 0),
+     * so lanes never share a row.
+     */
+    std::vector<std::vector<LinkState>> linkRows;
     /** Scratch for prompts deferred during batch assembly (reused). */
     std::vector<WorkItem> deferredScratch;
     /**

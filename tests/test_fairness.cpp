@@ -396,16 +396,21 @@ void
 expectExactTenantAccounting(const SimMetrics &metrics,
                             const std::string &replay)
 {
-    long arrived = 0, completed = 0, rejected = 0, preempted = 0;
+    long arrived = 0, admitted = 0, completed = 0, rejected = 0;
+    long preempted = 0;
     long tokens = 0;
     for (const SimMetrics::TenantStat &t : metrics.tenantStats) {
         arrived += t.requestsArrived;
+        admitted += t.requestsAdmitted;
         completed += t.requestsCompleted;
         rejected += t.requestsRejected;
         preempted += t.requestsPreempted;
         tokens += t.decodeTokensInWindow;
     }
     EXPECT_EQ(arrived, metrics.requestsArrived) << replay;
+    // Restarts (churn and preemption) un-admit a request in its
+    // tenant's count as well as in the total.
+    EXPECT_EQ(admitted, metrics.requestsAdmitted) << replay;
     EXPECT_EQ(completed, metrics.requestsCompleted) << replay;
     EXPECT_EQ(rejected, metrics.requestsRejected) << replay;
     EXPECT_EQ(preempted, metrics.requestsPreempted) << replay;
@@ -491,6 +496,37 @@ TEST(Fairness, PreemptionEpochSafeExactAccounting)
             << replay << " sim_threads=" << threads;
         EXPECT_EQ(serial_bytes, emitterBytes(parallel, "preempt"))
             << replay << " sim_threads=" << threads;
+    }
+}
+
+TEST(Fairness, TenantAdmittedSumsToTotalAfterChurnAndPreemption)
+{
+    Harness harness("two-tier", 16);
+    std::vector<scheduler::Tenant> tenants(2);
+    tenants[0].name = "flood";
+    tenants[0].weight = 1.0;
+    tenants[0].mix = 0.95;
+    tenants[1].name = "trickle";
+    tenants[1].weight = 8.0;
+    tenants[1].mix = 0.05;
+    auto requests = makeTenantTrace(500, 30.0, 11, tenants);
+    SimConfig sim_config = tenantSimConfig(tenants, 0.5, 0.5);
+    // Node 0 (the strong tier) fails mid-run and comes back: every
+    // request in flight through it restarts, on top of preemptions.
+    sim_config.churnEvents = {
+        {ChurnEvent::Kind::Fail, 0, 12.0},
+        {ChurnEvent::Kind::Recover, 0, 20.0},
+    };
+    std::string replay =
+        "replay: churn+preempt preset=two-tier n=16 trace_seed=11 "
+        "fail=0@12 recover=0@20";
+    for (int threads : {1, 4}) {
+        SimMetrics metrics = harness.run(requests, sim_config, threads);
+        EXPECT_GT(metrics.requestsRestarted, 0)
+            << replay << " (scenario no longer restarts requests)";
+        EXPECT_GT(metrics.requestsPreempted, 0)
+            << replay << " (scenario no longer triggers preemption)";
+        expectExactTenantAccounting(metrics, replay);
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "exp/experiment.h"
 #include "io/serialization.h"
 #include "model/transformer.h"
 #include "placement/partitioned_planner.h"
@@ -291,6 +292,35 @@ TEST(IoRoundTrip, ResaveIsByteIdentical)
     ASSERT_TRUE(empty_parsed.has_value());
     EXPECT_TRUE(empty_parsed->empty());
     EXPECT_EQ(io::traceToString(*empty_parsed), empty_text);
+}
+
+TEST(IoRoundTrip, GeneratedGeoClusterCollapsesToClasses)
+{
+    // The serialized form lists all 201 x 200 directed links; parsing
+    // folds them back into the per-region class table with no per-pair
+    // overrides, and re-serializing reproduces the exact bytes.
+    auto clus = exp::clusterByName("gen:geo-distributed:200");
+    ASSERT_TRUE(clus.has_value());
+    EXPECT_EQ(clus->numLinkOverrides(), 0u);
+    std::string text = io::clusterToString(*clus);
+    io::ParseError error;
+    auto parsed = io::clusterFromString(text, error);
+    ASSERT_TRUE(parsed.has_value()) << error.line << ": " << error.message;
+    EXPECT_EQ(parsed->numNodes(), 200);
+    EXPECT_EQ(parsed->numLinkOverrides(), 0u);
+    EXPECT_EQ(parsed->numLinkClasses(), clus->numLinkClasses());
+    EXPECT_EQ(parsed->minLinkLatency(), clus->minLinkLatency());
+    EXPECT_EQ(io::clusterToString(*parsed), text);
+
+    // A hand-edited link survives as exactly one override and still
+    // round-trips byte for byte.
+    parsed->setLink(3, 150, {1e9, 7e-3});
+    EXPECT_EQ(parsed->numLinkOverrides(), 1u);
+    std::string edited = io::clusterToString(*parsed);
+    auto reparsed = io::clusterFromString(edited);
+    ASSERT_TRUE(reparsed.has_value());
+    EXPECT_EQ(reparsed->numLinkOverrides(), 1u);
+    EXPECT_EQ(io::clusterToString(*reparsed), edited);
 }
 
 TEST(IoEndToEnd, ClusterPlacementTraceArtifacts)

@@ -8,14 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
 #include "model/transformer.h"
+#include "util/random.h"
 
 namespace helix {
 namespace {
 
 using cluster::ClusterSpec;
+using cluster::LinkSpec;
 using cluster::NodeSpec;
 using cluster::Profiler;
 using model::TransformerSpec;
@@ -156,6 +164,271 @@ TEST(ClusterSetups, GeoDistributedRegionsAndLinks)
     EXPECT_DOUBLE_EQ(c.link(r0, r1).bandwidthBps, 100e6);
     EXPECT_DOUBLE_EQ(c.link(r0, r1).latencyS, 50e-3);
     EXPECT_EQ(c.coordinatorRegion(), 0);
+}
+
+/** Bit-exact link equality (0.0 and -0.0 differ). */
+bool
+sameBits(const LinkSpec &a, const LinkSpec &b)
+{
+    return std::memcmp(&a.bandwidthBps, &b.bandwidthBps,
+                       sizeof(double)) == 0 &&
+           std::memcmp(&a.latencyS, &b.latencyS, sizeof(double)) == 0;
+}
+
+/**
+ * Dense (n+1)^2 reference model of ClusterSpec's link semantics: the
+ * representation the class table + overrides replaced. `fill` holds
+ * what the last bulk call (setUniformLinks / connectRegions) gave each
+ * pair, i.e. the class default, so the reference also predicts how
+ * many overrides the sparse form must store.
+ */
+struct DenseLinks
+{
+    int side = 0;
+    std::vector<LinkSpec> cells;
+    std::vector<LinkSpec> fill;
+    /** False after assignLinks, whose defaults are not modeled. */
+    bool fillKnown = true;
+
+    explicit DenseLinks(int num_nodes)
+        : side(num_nodes + 1),
+          cells(static_cast<size_t>(side) * side),
+          fill(static_cast<size_t>(side) * side)
+    {
+    }
+
+    size_t index(int from, int to) const
+    {
+        return static_cast<size_t>(from + 1) * side + (to + 1);
+    }
+
+    double minLatency() const
+    {
+        double best = std::numeric_limits<double>::infinity();
+        for (int from = -1; from < side - 1; ++from) {
+            for (int to = -1; to < side - 1; ++to) {
+                if (from != to)
+                    best = std::min(best, cells[index(from, to)].latencyS);
+            }
+        }
+        return best;
+    }
+
+    size_t overrides() const
+    {
+        size_t count = 0;
+        for (size_t i = 0; i < cells.size(); ++i)
+            count += sameBits(cells[i], fill[i]) ? 0 : 1;
+        return count;
+    }
+};
+
+void
+expectMatchesReference(const ClusterSpec &c, const DenseLinks &ref,
+                       const std::string &replay)
+{
+    for (int from = -1; from < c.numNodes(); ++from) {
+        for (int to = -1; to < c.numNodes(); ++to) {
+            const LinkSpec &got = c.link(from, to);
+            const LinkSpec &want = ref.cells[ref.index(from, to)];
+            ASSERT_TRUE(sameBits(got, want))
+                << replay << " pair " << from << "->" << to << ": got ("
+                << got.bandwidthBps << ", " << got.latencyS
+                << ") want (" << want.bandwidthBps << ", "
+                << want.latencyS << ")";
+        }
+    }
+    EXPECT_EQ(c.minLinkLatency(), ref.minLatency()) << replay;
+    if (ref.fillKnown) {
+        EXPECT_EQ(c.numLinkOverrides(), ref.overrides()) << replay;
+    }
+}
+
+TEST(ClusterLinks, RandomizedOpsMatchDenseReference)
+{
+    // A small value pool so random setLink calls often hit a pair's
+    // class default; -0.0 must still count as different from 0.0.
+    const std::vector<LinkSpec> pool = {
+        {0.0, 0.0},       {10e9, 1e-3},  {100e6, 50e-3},
+        {1e9, 5e-4},      {-0.0, 1e-3},  {10e9, 2e-3},
+    };
+    const std::vector<int> region_pool = {-1, 0, 3, 7};
+    Rng rng(20261017);
+    for (int instance = 0; instance < 60; ++instance) {
+        const int n = static_cast<int>(rng.nextInt(1, 9));
+        ClusterSpec c;
+        std::vector<int> region(static_cast<size_t>(n));
+        for (int i = 0; i < n; ++i) {
+            NodeSpec node;
+            node.name = "n" + std::to_string(i);
+            node.gpu = cluster::gpus::t4();
+            node.region = region_pool[rng.nextBounded(region_pool.size())];
+            region[static_cast<size_t>(i)] = node.region;
+            c.addNode(std::move(node));
+        }
+        DenseLinks ref(n);
+        auto pick = [&]() { return pool[rng.nextBounded(pool.size())]; };
+        auto endpoint = [&]() {
+            return static_cast<int>(rng.nextInt(-1, n - 1));
+        };
+        for (int op = 0; op < 40; ++op) {
+            std::string replay = "instance=" + std::to_string(instance) +
+                                 " n=" + std::to_string(n) +
+                                 " op=" + std::to_string(op);
+            switch (rng.nextBounded(6)) {
+              case 0: {
+                LinkSpec v = pick();
+                c.setUniformLinks(v.bandwidthBps, v.latencyS);
+                std::fill(ref.cells.begin(), ref.cells.end(), v);
+                ref.fill = ref.cells;
+                ref.fillKnown = true;
+                replay += " uniform";
+                break;
+              }
+              case 1: {
+                LinkSpec intra = pick();
+                LinkSpec inter = pick();
+                int coord_region =
+                    rng.nextBounded(4) == 0
+                        ? 99
+                        : region_pool[rng.nextBounded(region_pool.size())];
+                c.connectRegions(intra, inter, coord_region);
+                for (int from = -1; from < n; ++from) {
+                    for (int to = -1; to < n; ++to) {
+                        int rf = from < 0 ? coord_region
+                                          : region[static_cast<size_t>(from)];
+                        int rt = to < 0 ? coord_region
+                                        : region[static_cast<size_t>(to)];
+                        ref.cells[ref.index(from, to)] =
+                            from == to ? LinkSpec{}
+                                       : (rf == rt ? intra : inter);
+                    }
+                }
+                ref.fill = ref.cells;
+                ref.fillKnown = true;
+                replay += " connect";
+                break;
+              }
+              case 2:
+              case 3: {
+                int from = endpoint();
+                int to = endpoint();
+                LinkSpec v = pick();
+                c.setLink(from, to, v);
+                ref.cells[ref.index(from, to)] = v;
+                replay += " set";
+                break;
+              }
+              case 4: {
+                // Set a pair back to its class default: the override
+                // (if any) must disappear.
+                int from = endpoint();
+                int to = endpoint();
+                LinkSpec v = ref.fill[ref.index(from, to)];
+                c.setLink(from, to, v);
+                ref.cells[ref.index(from, to)] = v;
+                replay += " set-default";
+                break;
+              }
+              default: {
+                // Bulk assignment: a random subset of pairs (with
+                // repeats; the last entry wins), the rest zero. Often
+                // every pair, so whole class pairs collapse.
+                std::vector<ClusterSpec::LinkEntry> entries;
+                bool all_pairs = rng.nextBounded(2) == 0;
+                LinkSpec common = pick();
+                for (int from = -1; from < n; ++from) {
+                    for (int to = -1; to < n; ++to) {
+                        if (from == to ||
+                            (!all_pairs && rng.nextBounded(3) == 0))
+                            continue;
+                        LinkSpec v =
+                            rng.nextBounded(5) == 0 ? pick() : common;
+                        entries.push_back({from, to, v});
+                        if (rng.nextBounded(8) == 0)
+                            entries.push_back({from, to, pick()});
+                    }
+                }
+                if (rng.nextBounded(2) == 0)
+                    std::reverse(entries.begin(), entries.end());
+                std::fill(ref.cells.begin(), ref.cells.end(), LinkSpec{});
+                for (const ClusterSpec::LinkEntry &e : entries)
+                    ref.cells[ref.index(e.from, e.to)] = e.spec;
+                ref.fillKnown = false;
+                c.assignLinks(std::move(entries));
+                replay += " assign";
+                break;
+              }
+            }
+            expectMatchesReference(c, ref, replay);
+            if (::testing::Test::HasFatalFailure())
+                return;
+
+            // A sub-cluster of a random member subset (shuffled)
+            // keeps exactly the members' links; self links are zero.
+            std::vector<int> members;
+            for (int i = 0; i < n; ++i) {
+                if (rng.nextBounded(2) == 0)
+                    members.push_back(i);
+            }
+            for (size_t i = members.size(); i > 1; --i)
+                std::swap(members[i - 1], members[rng.nextBounded(i)]);
+            ClusterSpec sub = c.subCluster(members);
+            const int m = static_cast<int>(members.size());
+            DenseLinks sub_ref(m);
+            sub_ref.fillKnown = false;
+            for (int a = -1; a < m; ++a) {
+                for (int b = -1; b < m; ++b) {
+                    if (a == b)
+                        continue;
+                    int from = a < 0 ? -1 : members[static_cast<size_t>(a)];
+                    int to = b < 0 ? -1 : members[static_cast<size_t>(b)];
+                    sub_ref.cells[sub_ref.index(a, b)] = c.link(from, to);
+                }
+            }
+            expectMatchesReference(sub, sub_ref, replay + " sub");
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(ClusterLinks, GeneratedGeoClusterHasNoOverrides)
+{
+    ClusterSpec c = cluster::setups::geoDistributed24();
+    // Three regions + the coordinator; every pair follows its class.
+    EXPECT_EQ(c.numLinkClasses(), 4);
+    EXPECT_EQ(c.numLinkOverrides(), 0u);
+    EXPECT_DOUBLE_EQ(c.minLinkLatency(), 1e-3);
+    // One override, then back to the class default: none again.
+    c.setLink(0, 1, {1e9, 1e-4});
+    EXPECT_EQ(c.numLinkOverrides(), 1u);
+    EXPECT_DOUBLE_EQ(c.minLinkLatency(), 1e-4);
+    c.setLink(0, 1, {10e9, 1e-3});
+    EXPECT_EQ(c.numLinkOverrides(), 0u);
+    EXPECT_DOUBLE_EQ(c.minLinkLatency(), 1e-3);
+}
+
+TEST(ClusterLinks, MinLatencyIgnoresSingletonClassDiagonalAndOverriddenDefaults)
+{
+    // One node per region: no (c, c) pair exists, so the 0-latency
+    // intra default must not count.
+    ClusterSpec c;
+    for (int i = 0; i < 3; ++i) {
+        NodeSpec node;
+        node.name = "solo" + std::to_string(i);
+        node.gpu = cluster::gpus::t4();
+        node.region = i;
+        c.addNode(std::move(node));
+    }
+    c.connectRegions({10e9, 0.0}, {100e6, 50e-3}, 0);
+    // The coordinator shares region 0 with node 0: intra, latency 0.
+    EXPECT_DOUBLE_EQ(c.minLinkLatency(), 0.0);
+    c.setLink(cluster::kCoordinator, 0, {10e9, 2e-3});
+    c.setLink(0, cluster::kCoordinator, {10e9, 3e-3});
+    // Both coordinator<->node 0 pairs are overridden now; every
+    // remaining pair is inter-region.
+    EXPECT_DOUBLE_EQ(c.minLinkLatency(), 2e-3);
 }
 
 TEST(ClusterSetups, HighHeterogeneity42Composition)

@@ -154,7 +154,7 @@ TEST(Generator, RegistryNameParsing)
     EXPECT_FALSE(exp::clusterByName("gen:two-tier:0").has_value());
 
     // The lightweight node-count lookup (used by spec validation to
-    // avoid materializing O(n^2) link matrices) agrees with
+    // avoid generating whole clusters) agrees with
     // clusterByName on both success and failure.
     EXPECT_EQ(exp::clusterNodeCountByName("gen:two-tier:1000:7"),
               std::optional<int>(1000));

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
 #include "core/helix.h"
@@ -157,6 +160,86 @@ TEST_F(SimFixture, LinkStatsCollectCongestion)
     for (const auto &link : metrics.linkStats)
         bytes += link.totalBytes;
     EXPECT_GT(bytes, 0.0);
+}
+
+/** Totals of a run's link statistics, printed exactly. */
+std::string
+linkStatTotals(const SimMetrics &metrics)
+{
+    long transfers = 0;
+    double bytes = 0.0;
+    double busy = 0.0;
+    double queue_sum = 0.0;
+    double queue_max = 0.0;
+    for (const LinkStat &link : metrics.linkStats) {
+        transfers += link.transfers;
+        bytes += link.totalBytes;
+        busy += link.busySeconds;
+        queue_sum += link.totalQueueDelayS;
+        queue_max = std::max(queue_max, link.maxQueueDelayS);
+    }
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "links=%zu transfers=%ld bytes=%.17g busy=%.17g "
+                  "queue_sum=%.17g queue_max=%.17g",
+                  metrics.linkStats.size(), transfers, bytes, busy,
+                  queue_sum, queue_max);
+    return buf;
+}
+
+TEST(SimLinkStats, GeoRunRowMajorWithPinnedTotals)
+{
+    // The paper's three-region geo cluster serving a 12-layer model
+    // as two-stage pipelines, so transfers cross the WAN links too.
+    ClusterSpec clus = cluster::setups::geoDistributed24();
+    model::TransformerSpec toy = model::catalog::llama30b();
+    toy.numLayers = 12;
+    Profiler profiler(toy);
+    placement::ModelPlacement placement;
+    for (int i = 0; i < clus.numNodes(); ++i)
+        placement.nodes.push_back(i % 2 == 0 ? placement::NodePlacement{0, 6}
+                                             : placement::NodePlacement{6, 6});
+    placement::PlacementGraph graph(clus, profiler, placement);
+    scheduler::Topology topo(clus, profiler, placement, graph);
+
+    trace::LengthModel lengths;
+    lengths.targetMeanPrompt = 120;
+    lengths.maxPromptLen = 512;
+    lengths.targetMeanOutput = 40;
+    lengths.maxOutputLen = 128;
+    trace::TraceGenerator gen(5, lengths);
+    trace::PoissonArrivals arrivals(12.0);
+    auto requests = gen.generateCount(400, arrivals);
+
+    SimConfig config;
+    config.warmupSeconds = 2.0;
+    config.measureSeconds = 30.0;
+    config.collectLinkStats = true;
+    // Captured from the dense link-matrix implementation: per-link
+    // state must be created lazily without changing a single value.
+    const std::string golden =
+        "links=49 transfers=42618 bytes=780960328 "
+        "busy=58.914328188798962 queue_sum=0.83432753517742175 "
+        "queue_max=0.013844479999999493";
+    for (int threads : {1, 4}) {
+        config.simThreads = threads;
+        scheduler::HelixScheduler sched(topo);
+        ClusterSimulator sim(clus, profiler, placement, sched, config);
+        SimMetrics metrics = sim.run(requests);
+        ASSERT_FALSE(metrics.linkStats.empty());
+        for (size_t i = 1; i < metrics.linkStats.size(); ++i) {
+            const LinkStat &a = metrics.linkStats[i - 1];
+            const LinkStat &b = metrics.linkStats[i];
+            EXPECT_TRUE(a.from < b.from ||
+                        (a.from == b.from && a.to < b.to))
+                << "entry " << i << ": (" << a.from << "," << a.to
+                << ") then (" << b.from << "," << b.to << ")";
+        }
+        for (const LinkStat &link : metrics.linkStats)
+            EXPECT_GT(link.transfers, 0);
+        EXPECT_EQ(linkStatTotals(metrics), golden)
+            << "sim_threads=" << threads;
+    }
 }
 
 TEST_F(SimFixture, ActiveRequestCapEnforced)

@@ -26,6 +26,10 @@ Checks (``--list-checks`` for the one-liners):
   self-include-first     a .cpp file's first include is its own header
   unused-include         no quoted project includes whose declarations
                          are never referenced
+  pair-matrix            no assign/resize/reserve/vector-constructor
+                         sized `x * x` in the serving path (src/sim,
+                         src/scheduler, src/cluster, placement_graph):
+                         per-pair state must scale with links used
   suppression            allow() directives must name a known check
                          and carry a justification
 
@@ -91,6 +95,10 @@ CHECKS = {
     "unused-include": (
         "quoted project include whose declarations are never "
         "referenced"
+    ),
+    "pair-matrix": (
+        "container sized endpoints x endpoints in the serving path "
+        "(store per-link state sparsely, sized by the links used)"
     ),
     "suppression": (
         "malformed allow() directive (unknown check-id or missing "
@@ -604,6 +612,118 @@ def check_unused_include(src: SourceFile):
                 "are referenced; drop it or include what you use")
 
 
+# Serving-path code where per-endpoint-pair (O(n^2)) state must not
+# come back: the cluster, placement graph, scheduler and simulator
+# store link state sparsely, sized by the links a run uses.
+PAIR_MATRIX_PREFIXES = (
+    "src/sim/",
+    "src/scheduler/",
+    "src/cluster/",
+    "src/placement/placement_graph.",
+)
+# A sizing call: .assign( / .resize( / .reserve(, or a std::vector
+# constructor `std::vector<T> name(` / `std::vector<T>(`.
+SIZING_CALL_RE = re.compile(
+    r"\.\s*(?:assign|resize|reserve)\s*\(|\bstd::vector\s*<")
+STATIC_CAST_RE = re.compile(r"\bstatic_cast\s*<[^<>]*>")
+
+
+def _balanced_end(text, pos, open_ch, close_ch):
+    """Index just past the bracket group opening at text[pos]."""
+    depth = 0
+    for i in range(pos, len(text)):
+        if text[i] == open_ch:
+            depth += 1
+        elif text[i] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return -1
+
+
+def _first_argument(text, pos):
+    """First top-level argument of the call whose '(' is text[pos]."""
+    depth = 0
+    for i in range(pos, len(text)):
+        ch = text[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth == 0:
+                return text[pos + 1:i]
+        elif ch == "," and depth == 1:
+            return text[pos + 1:i]
+    return ""
+
+
+def _strip_parens(expr):
+    while expr.startswith("(") and \
+            _balanced_end(expr, 0, "(", ")") == len(expr):
+        expr = expr[1:-1]
+    return expr
+
+
+def _top_level_factors(expr):
+    factors = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(expr):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == "*" and depth == 0:
+            factors.append(expr[start:i])
+            start = i + 1
+    factors.append(expr[start:])
+    return factors
+
+
+def _squared_factor(argument):
+    """The repeated factor if @p argument multiplies a term by itself."""
+    expr = STATIC_CAST_RE.sub("", argument)
+    expr = _strip_parens(re.sub(r"\s+", "", expr))
+    seen = set()
+    for factor in _top_level_factors(expr):
+        factor = _strip_parens(factor)
+        if not factor or re.fullmatch(r"[\d.]+[uUlLfF]*", factor):
+            continue
+        if factor in seen:
+            return factor
+        seen.add(factor)
+    return None
+
+
+def check_pair_matrix(src: SourceFile):
+    if not src.in_scope(PAIR_MATRIX_PREFIXES):
+        return
+    code = src.code
+    for m in SIZING_CALL_RE.finditer(code):
+        if m.group(0).endswith("("):
+            paren = m.end() - 1
+        else:
+            # std::vector<...> [name] ( ... )
+            close = _balanced_end(code, m.end() - 1, "<", ">")
+            if close < 0:
+                continue
+            rest = re.match(r"\s*\w*\s*\(", code[close:])
+            if not rest:
+                continue
+            paren = close + rest.end() - 1
+        factor = _squared_factor(_first_argument(code, paren))
+        if factor is None:
+            continue
+        lineno = code.count("\n", 0, m.start()) + 1
+        if not re.fullmatch(r"[\w.>-]+", factor):
+            factor = f"({factor})"
+        yield Finding(
+            src.rel, lineno, "pair-matrix",
+            f"container sized '{factor} * {factor}' allocates state "
+            "per endpoint pair; store it per link actually used "
+            "(sorted per-source rows, class tables)")
+
+
 CHECK_FUNCTIONS = {
     "raw-random": check_raw_random,
     "unordered-iter": check_unordered_iter,
@@ -613,6 +733,7 @@ CHECK_FUNCTIONS = {
     "param-registry": check_param_registry,
     "self-include-first": check_self_include_first,
     "unused-include": check_unused_include,
+    "pair-matrix": check_pair_matrix,
 }
 
 

@@ -47,6 +47,7 @@ CASES = [
      "self_include_first_clean.cpp"),
     ("unused-include", "unused_include_violation.cpp",
      "unused_include_clean.cpp"),
+    ("pair-matrix", "pair_matrix_violation.cpp", "pair_matrix_clean.cpp"),
     ("suppression", "suppression_violation.cpp", "suppression_clean.cpp"),
 ]
 
