@@ -92,17 +92,28 @@ printHeader(const char *title)
                 "d-lat mean", "d-lat p95");
 }
 
+/** Print the mean and p95 cells of @p latency with @p precision
+ *  decimals; `n/a` for an accumulator without samples, never 0. */
+inline void
+printLatencyCells(const StatAccumulator &latency, int precision)
+{
+    if (latency.count() == 0) {
+        std::printf(" %12s %12s", "n/a", "n/a");
+        return;
+    }
+    std::printf(" %12.*f %12.*f", precision, latency.mean(), precision,
+                latency.percentile(95));
+}
+
 /** Print one comparison row. */
 inline void
 printRow(const SystemResult &row)
 {
-    std::printf("%-10s %10.0f %12.1f %12.2f %12.2f %12.3f %12.3f\n",
-                row.system.c_str(), row.plannedThroughput,
-                row.metrics.decodeThroughput,
-                row.metrics.promptLatency.mean(),
-                row.metrics.promptLatency.percentile(95),
-                row.metrics.decodeLatency.mean(),
-                row.metrics.decodeLatency.percentile(95));
+    std::printf("%-10s %10.0f %12.1f", row.system.c_str(),
+                row.plannedThroughput, row.metrics.decodeThroughput);
+    printLatencyCells(row.metrics.promptLatency, 2);
+    printLatencyCells(row.metrics.decodeLatency, 3);
+    std::printf("\n");
 }
 
 /** Print pairwise throughput ratios against the first (Helix) row. */
@@ -114,9 +125,13 @@ printRatios(const std::vector<SystemResult> &rows)
     double helix = rows.front().metrics.decodeThroughput;
     for (size_t i = 1; i < rows.size(); ++i) {
         double other = rows[i].metrics.decodeThroughput;
-        std::printf("helix / %-8s throughput ratio: %.2fx\n",
-                    rows[i].system.c_str(),
-                    other > 0 ? helix / other : 0.0);
+        // No denominator is no ratio, not 0.00x.
+        if (other > 0)
+            std::printf("helix / %-8s throughput ratio: %.2fx\n",
+                        rows[i].system.c_str(), helix / other);
+        else
+            std::printf("helix / %-8s throughput ratio: n/a\n",
+                        rows[i].system.c_str());
     }
 }
 

@@ -3,11 +3,11 @@
  * Admission-control overhead benchmark for multi-tenant fair-share
  * serving (scheduler/fair_share.h). Plans a 1000-node generated
  * geo-distributed cluster once, then drives the same trace through
- * the simulator twice: the pre-tenancy path (no tenants declared;
- * the fair-share layer is compiled in but never consulted) and a
- * three-tenant fair-share configuration with SLOs and preemption
- * armed. The delta is the full cost of admission control, usage
- * tracking, and preemption scanning on the event-loop hot path.
+ * the simulator twice: no tenants declared (one implicit FIFO
+ * tenant, never held or preempted) and a three-tenant fair-share
+ * configuration with SLOs and preemption armed. The delta is the
+ * cost of multi-class arbitration, usage tracking, and preemption
+ * scanning on the event-loop hot path.
  *
  * Manual timing mirrors micro_sim.cpp: cluster generation, planning,
  * and trace generation happen outside the clock; only

@@ -85,8 +85,9 @@ BENCHMARK(BM_Dinic)->Arg(16)->Arg(64)->Arg(256)->UseManualTime();
 /**
  * Shared setup for the churn-event benchmarks: a placement graph over
  * a generated long-tail cluster plus the compute edge of one flapping
- * node. Measures the two ways TopologyManager can react to a churn
- * event at scale: incremental repair vs a from-scratch re-solve.
+ * node. Measures TopologyManager's reaction to a churn event at
+ * scale (incremental repair) against the from-scratch re-solve it
+ * replaced.
  */
 struct FlapBench
 {
@@ -189,10 +190,9 @@ BM_FlowColdSolve(benchmark::State &state)
 BENCHMARK(BM_FlowColdSolve)->Arg(256)->Arg(1000);
 
 /**
- * The full cold event path BM_FlowRepair replaces: what
- * TopologyManager::resolve() in ResolveMode::Cold runs per churn
- * event — mask the flapped node out of the placement, rebuild the
- * placement graph from the profiler, and solve from scratch.
+ * The full cold event path BM_FlowRepair replaces: per churn event,
+ * mask the flapped node out of the placement, rebuild the placement
+ * graph from the profiler, and solve from scratch.
  */
 void
 BM_FlowColdResolve(benchmark::State &state)

@@ -193,10 +193,7 @@ runExperiment(const Deployment &deployment,
     sim_config.warmupSeconds = config.warmupSeconds;
     sim_config.measureSeconds = config.measureSeconds;
     sim_config.collectLinkStats = config.collectLinkStats;
-    sim_config.failNodeIndex = config.failNodeIndex;
-    sim_config.failAtSeconds = config.failAtSeconds;
     sim_config.churnEvents = config.churnEvents;
-    sim_config.repairTopology = config.repairTopology;
     sim_config.driftThreshold = config.driftThreshold;
     sim_config.nodeSlowdown = config.nodeSlowdown;
     sim_config.simThreads = config.simThreads;

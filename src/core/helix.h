@@ -141,18 +141,11 @@ struct RunConfig
     double burstMultiplier = 5.0;
     double burstMeanS = 30.0;
     double burstGapS = 270.0;
-    /** Legacy single-failure churn forwarded to sim::SimConfig: node
-     *  failNodeIndex fails at failAtSeconds. Negative = disabled. */
-    int failNodeIndex = -1;
-    double failAtSeconds = -1.0;
     /** Churn event schedule (fail/recover, absolute seconds),
-     *  forwarded to sim::SimConfig::churnEvents. Each event re-solves
+     *  forwarded to sim::SimConfig::churnEvents. Each event repairs
      *  max-flow on the surviving subgraph and swaps the fresh
      *  topology into the scheduler. */
     std::vector<sim::ChurnEvent> churnEvents;
-    /** Re-solve churn events by warm-start incremental repair instead
-     *  of cold re-solves (sim::SimConfig::repairTopology). */
-    bool repairTopology = false;
     /** Drift-triggered re-solve threshold in (0, 1); 0 disables
      *  (sim::SimConfig::driftThreshold). */
     double driftThreshold = 0.0;
@@ -165,8 +158,8 @@ struct RunConfig
     int simThreads = 1;
     /** Tenant classes for fair-share serving. Two or more activate
      *  admission arbitration and tenant-labeled trace generation
-     *  (sim::SimConfig::tenants); fewer keep the pre-tenancy path
-     *  byte-identical. */
+     *  (sim::SimConfig::tenants); fewer run one implicit FIFO
+     *  tenant, byte-identical to untenanted serving. */
     std::vector<scheduler::Tenant> tenants;
     /** Fair-share starvation tolerance in [0, 1]
      *  (sim::SimConfig::starvationTolerance). */

@@ -340,12 +340,6 @@ buildSpecParams()
         .greaterThan(0.0)
         .defaultValue(270.0)
         .scope("scenario:bursty");
-    registry.parameter("node", ParamKind::Int)
-        .atLeast(0.0)
-        .scope("scenario:churn");
-    registry.parameter("at", ParamKind::Double)
-        .inRange(0.0, 1.0)
-        .scope("scenario:churn");
     registry.parameter("online", ParamKind::Flag)
         .inRange(0.0, 1.0)
         .defaultValue(0.0)
@@ -353,10 +347,6 @@ buildSpecParams()
     registry.parameter("fail", ParamKind::Composite)
         .scope("scenario:churn");
     registry.parameter("recover", ParamKind::Composite)
-        .scope("scenario:churn");
-    registry.parameter("repair", ParamKind::Flag)
-        .inRange(0.0, 1.0)
-        .defaultValue(0.0)
         .scope("scenario:churn");
     registry.parameter("drift", ParamKind::Double)
         .inRangeHalfOpen(0.0, 1.0)
@@ -400,6 +390,29 @@ specParams()
 {
     static const ParamRegistry registry = buildSpecParams();
     return registry;
+}
+
+const char *
+removedSpecKey(const std::string &scope_name, const std::string &key)
+{
+    struct Removed
+    {
+        const char *scope;
+        const char *key;
+        const char *replacement;
+    };
+    static const Removed kRemoved[] = {
+        {"scenario:churn", "node",
+         "declare failures as fail=<node>@<fraction>"},
+        {"scenario:churn", "at",
+         "declare failures as fail=<node>@<fraction>"},
+        {"scenario:churn", "repair", "re-solves always repair"},
+    };
+    for (const Removed &removed : kRemoved) {
+        if (scope_name == removed.scope && key == removed.key)
+            return removed.replacement;
+    }
+    return nullptr;
 }
 
 } // namespace core

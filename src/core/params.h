@@ -203,6 +203,15 @@ class ParamRegistry
  */
 [[nodiscard]] const ParamRegistry &specParams();
 
+/**
+ * What replaced @p key, a spec key the grammar no longer accepts in
+ * @p scope_name (e.g. "scenario:churn"); nullptr when @p key was never
+ * removed there. Parsers report a hit as a ParseError naming the
+ * replacement instead of a bare unknown-key error.
+ */
+[[nodiscard]] const char *removedSpecKey(const std::string &scope_name,
+                                         const std::string &key);
+
 } // namespace core
 } // namespace helix
 

@@ -34,11 +34,7 @@ Scenario::toRun(double warmup_s, double measure_s,
     run.burstMultiplier = burstMultiplier;
     run.burstMeanS = burstMeanS;
     run.burstGapS = burstGapS;
-    run.failNodeIndex = failNodeIndex;
-    run.repairTopology = repairTopology;
     run.driftThreshold = driftThreshold;
-    if (failNodeIndex >= 0 && failAtFraction >= 0.0)
-        run.failAtSeconds = failAtFraction * (warmup_s + measure_s);
     run.churnEvents.reserve(churnSchedule.size());
     for (const ChurnEventFrac &event : churnSchedule) {
         run.churnEvents.push_back(
@@ -82,17 +78,6 @@ bursty(double burst_multiplier, double mean_burst_s,
 }
 
 Scenario
-nodeChurn(int node, double at_fraction, bool online_mode)
-{
-    Scenario s;
-    s.name = "node-churn";
-    s.online = online_mode;
-    s.failNodeIndex = node;
-    s.failAtFraction = at_fraction;
-    return s;
-}
-
-Scenario
 churnSchedule(std::vector<Scenario::ChurnEventFrac> events,
               bool online_mode)
 {
@@ -106,7 +91,8 @@ churnSchedule(std::vector<Scenario::ChurnEventFrac> events,
 std::vector<Scenario>
 all()
 {
-    return {offline(), onlineDiurnal(), bursty(), nodeChurn(0)};
+    return {offline(), onlineDiurnal(), bursty(),
+            churnSchedule({{sim::ChurnEvent::Kind::Fail, 0, 0.3}})};
 }
 
 } // namespace scenarios
@@ -296,9 +282,10 @@ num(double value)
 }
 
 /**
- * Compact churn log: "fail:1@33=1234.5/cold;recover:1@66=2345.6/cold".
- * The trailing /<resolve> distinguishes cold re-solves from
- * incremental repairs and drift-triggered shrinks.
+ * Compact churn log:
+ * "fail:1@33=1234.5/repair;recover:1@66=2345.6/repair". The trailing
+ * /<resolve> distinguishes fail/recover repairs from drift-triggered
+ * shrinks.
  */
 std::string
 formatChurnEvents(const sim::SimMetrics &metrics)

@@ -44,12 +44,6 @@ struct Scenario
     double burstMultiplier = 5.0;
     double burstMeanS = 30.0;
     double burstGapS = 270.0;
-    /**
-     * Legacy single-failure churn: the node with this index fails at
-     * failAtFraction * (warmup + measure). Negative = disabled.
-     */
-    int failNodeIndex = -1;
-    double failAtFraction = -1.0;
     /** One churn event at a fraction of the run horizon. */
     struct ChurnEventFrac
     {
@@ -58,14 +52,11 @@ struct Scenario
         double atFraction = 0.0;
     };
     /**
-     * Churn event schedule (fail/recover). Materialized alongside the
-     * legacy pair: each event lands at atFraction * (warmup + measure)
-     * seconds in RunConfig::churnEvents.
+     * Churn event schedule (fail/recover): each event lands at
+     * atFraction * (warmup + measure) seconds in
+     * RunConfig::churnEvents.
      */
     std::vector<ChurnEventFrac> churnSchedule;
-    /** Re-solve churn events by warm-start incremental repair
-     *  (`repair=1` spec key) instead of cold re-solves. */
-    bool repairTopology = false;
     /** Drift-triggered re-solve threshold (`drift=<fraction>` spec
      *  key); 0 disables. */
     double driftThreshold = 0.0;
@@ -89,10 +80,6 @@ Scenario bursty(double burst_multiplier = 5.0,
                 double mean_burst_s = 30.0,
                 double mean_gap_s = 270.0);
 
-/** Node @p node fails at @p at_fraction of the run horizon. */
-Scenario nodeChurn(int node, double at_fraction = 0.3,
-                   bool online = true);
-
 /**
  * Churn with an explicit fail/recover schedule (fractions of the run
  * horizon, in non-decreasing time order).
@@ -100,7 +87,7 @@ Scenario nodeChurn(int node, double at_fraction = 0.3,
 Scenario churnSchedule(
     std::vector<Scenario::ChurnEventFrac> events, bool online = true);
 
-/** All catalog entries (churn applied to node 0 at 30%). */
+/** All catalog entries (churn: node 0 fails at 30%). */
 std::vector<Scenario> all();
 
 } // namespace scenarios

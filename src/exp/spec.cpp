@@ -1,7 +1,6 @@
 #include "exp/spec.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace helix {
 namespace exp {
@@ -124,42 +123,6 @@ validateSpec(const io::ExperimentSpec &spec, io::ParseError *error)
     for (const io::ScenarioSpec &scenario : spec.scenarios) {
         if (scenario.kind != "churn")
             continue;
-        if (scenario.has("node")) {
-            double node_value = scenario.get("node", -1.0);
-            // helix-lint: allow(float-eq) exact integrality test on a parsed value; floor() is bit-exact for in-range indices
-            if (node_value != std::floor(node_value)) {
-                setError(error, scenario.line,
-                         "churn node=" + std::to_string(node_value) +
-                             " must be an integer node index");
-                return false;
-            }
-            int node = static_cast<int>(node_value);
-            if (node < 0 || (min_nodes >= 0 && node >= min_nodes)) {
-                setError(error, scenario.line,
-                         "churn node index " + std::to_string(node) +
-                             " is out of range for the smallest "
-                             "declared cluster (" +
-                             std::to_string(min_nodes) + " nodes)");
-                return false;
-            }
-            double at = scenario.get("at", 0.3);
-            if (at < 0.0 || at > 1.0) {
-                setError(error, scenario.line,
-                         "churn at=" + std::to_string(at) +
-                             " must be a fraction of the run in "
-                             "[0, 1]");
-                return false;
-            }
-        }
-        double repair = scenario.get("repair", 0.0);
-        // helix-lint: allow(float-eq) repair= is an exact 0/1 flag parsed from text; any other bit pattern is a spec error
-        if (repair != 0.0 && repair != 1.0) {
-            setError(error, scenario.line,
-                     "churn repair=" + std::to_string(repair) +
-                         " must be 0 (cold re-solve) or 1 "
-                         "(incremental repair)");
-            return false;
-        }
         double drift = scenario.get("drift", 0.0);
         if (drift < 0.0 || drift >= 1.0) {
             setError(error, scenario.line,
@@ -246,23 +209,15 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
                                     scenario.get("gap", 270.0));
     } else if (scenario.kind == "churn") {
         bool online_mode = scenario.get("online", 1.0) != 0.0;
-        if (scenario.events.empty()) {
-            catalog = scenarios::nodeChurn(
-                static_cast<int>(scenario.get("node", 0.0)),
-                scenario.get("at", 0.3), online_mode);
-        } else {
-            std::vector<Scenario::ChurnEventFrac> events;
-            events.reserve(scenario.events.size());
-            for (const io::ChurnEventSpec &event : scenario.events) {
-                events.push_back(
-                    {event.fail ? sim::ChurnEvent::Kind::Fail
-                                : sim::ChurnEvent::Kind::Recover,
-                     event.node, event.atFraction});
-            }
-            catalog = scenarios::churnSchedule(std::move(events),
-                                               online_mode);
+        std::vector<Scenario::ChurnEventFrac> events;
+        events.reserve(scenario.events.size());
+        for (const io::ChurnEventSpec &event : scenario.events) {
+            events.push_back({event.fail ? sim::ChurnEvent::Kind::Fail
+                                         : sim::ChurnEvent::Kind::Recover,
+                              event.node, event.atFraction});
         }
-        catalog.repairTopology = scenario.get("repair", 0.0) != 0.0;
+        catalog = scenarios::churnSchedule(std::move(events),
+                                           online_mode);
         catalog.driftThreshold = scenario.get("drift", 0.0);
     } else { // online-peak
         catalog.name = "online-peak";

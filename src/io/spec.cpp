@@ -289,6 +289,13 @@ experimentFromString(const std::string &text, ParseError &error)
                     return std::nullopt;
                 }
                 std::string key = toks[i].substr(0, eq);
+                if (const char *replacement = core::removedSpecKey(
+                        "scenario:" + scenario.kind, key)) {
+                    error = {line, scenario.kind + " option '" + key +
+                                       "' was removed: " +
+                                       replacement};
+                    return std::nullopt;
+                }
                 if (std::find(known.begin(), known.end(), key) ==
                     known.end()) {
                     error = {line, "scenario '" + scenario.kind +
@@ -353,22 +360,10 @@ experimentFromString(const std::string &text, ParseError &error)
                 }
                 scenario.options.emplace_back(std::move(key), value);
             }
-            if (scenario.kind == "churn") {
-                bool legacy = scenario.has("node") ||
-                              scenario.has("at");
-                if (legacy && !scenario.events.empty()) {
-                    error = {line,
-                             "churn scenario cannot mix node=/at= "
-                             "with fail=/recover= events"};
-                    return std::nullopt;
-                }
-                if (!scenario.has("node") &&
-                    scenario.events.empty()) {
-                    error = {line,
-                             "churn scenario requires node=<index> "
-                             "or fail=<node>@<fraction> events"};
-                    return std::nullopt;
-                }
+            if (scenario.kind == "churn" && scenario.events.empty()) {
+                error = {line, "churn scenario requires "
+                               "fail=<node>@<fraction> events"};
+                return std::nullopt;
             }
             spec.scenarios.push_back(std::move(scenario));
         } else if (tag == "tenant") {

@@ -101,11 +101,6 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         outV[i] = net.addNode(cluster.node(i).name + ".out");
         double throughput =
             profiler.decodeThroughput(cluster.node(i), p.count);
-        if (options.computeCapOverride &&
-            i < static_cast<int>(options.computeCapOverride->size()) &&
-            (*options.computeCapOverride)[i] >= 0.0) {
-            throughput = (*options.computeCapOverride)[i];
-        }
         compEdge[i] = net.addEdge(inV[i], outV[i], throughput);
     }
     constexpr int kNoEndpoint = cluster::kCoordinator - 1;

@@ -75,13 +75,6 @@ struct GraphBuildOptions
     bool allowPartialInference = true;
     /** Optional pruning filter; nullptr means all pairs allowed. */
     const ConnectionFilter *filter = nullptr;
-    /**
-     * Optional per-node compute-capacity overrides (tokens/s);
-     * entries < 0 mean "use the profiled decode throughput". Used by
-     * the live topology manager to shrink drifting nodes when it
-     * rebuilds cold. nullptr means no overrides.
-     */
-    const std::vector<double> *computeCapOverride = nullptr;
 };
 
 /**

@@ -170,7 +170,8 @@ FairShareController::popNext(double now)
 int
 FairShareController::checkPreemption(double now)
 {
-    if (preemptTimeoutS < 0.0)
+    // A victim must be a different class than the starving one.
+    if (preemptTimeoutS < 0.0 || !active())
         return -1;
     // Sweep the continuous-starvation clocks.
     int starving = -1;

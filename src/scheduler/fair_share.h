@@ -32,9 +32,12 @@
  * timeout) follow the ytsaurus fair-share strategy config; they are
  * declared with ranges and defaults in core::specParams().
  *
- * With fewer than two tenants the controller reports inactive and
- * the simulator keeps its original single-queue admission path —
- * single-tenant runs are byte-identical to the pre-tenancy code.
+ * The simulator runs every admission through this controller, with
+ * one implicit tenant when fewer than two are declared. One class is
+ * a plain FIFO queue: it is never held (it cannot be over share
+ * while another class is below) and never preempted (the victim must
+ * be a different class), so single-tenant runs are byte-identical to
+ * a single-queue admission loop.
  */
 
 #ifndef HELIX_SCHEDULER_FAIR_SHARE_H

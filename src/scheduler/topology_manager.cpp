@@ -8,30 +8,18 @@ namespace scheduler {
 TopologyManager::TopologyManager(
     const cluster::ClusterSpec &cluster,
     const cluster::Profiler &profiler,
-    const placement::ModelPlacement &placement,
-    placement::GraphBuildOptions options, ResolveMode resolve_mode)
+    const placement::ModelPlacement &placement)
     : clusterRef(cluster), profilerRef(profiler),
-      placementRef(placement), opts(options), mode(resolve_mode),
-      alive(placement.size(), true),
+      placementRef(placement), alive(placement.size(), true),
       capOverride(placement.size(), -1.0),
+      liveGraph(std::make_unique<placement::PlacementGraph>(
+          cluster, profiler, placement)),
       planned(placement.size(), 0.0)
 {
-    if (mode == ResolveMode::Repair) {
-        // One persistent flow network over the full placement; every
-        // later event is a compute-edge capacity update on it. The
-        // initial build is a cold solve.
-        liveGraph = std::make_unique<placement::PlacementGraph>(
-            clusterRef, profilerRef, placementRef, opts);
-        (void)liveGraph->maxThroughput(); // prime the cached solve
-        ++solves;
-        placement::ModelPlacement masked = placementRef;
-        topo = std::make_unique<Topology>(clusterRef, profilerRef,
-                                          masked, *liveGraph);
-        for (size_t i = 0; i < planned.size(); ++i)
-            planned[i] = liveGraph->nodeFlow(static_cast<int>(i));
-    } else {
-        resolve();
-    }
+    // The initial build is a cold solve; every later event is a
+    // compute-edge capacity update on the same network.
+    (void)liveGraph->maxThroughput(); // value read via publish()
+    publish();
 }
 
 bool
@@ -104,53 +92,42 @@ TopologyManager::setNodeCapacity(int node, double tokens_per_s)
 void
 TopologyManager::resolve()
 {
-    // Restrict the placement to live nodes: a dead node's interval is
-    // zeroed, which removes its vertices and every incident edge from
-    // a cold-built placement graph (PlacementGraph skips count == 0
-    // nodes). The published Topology carries the masked placement in
-    // both modes so schedulers see dead nodes as layer-less.
+    // The persistent graph keeps every node; liveness and drift are
+    // capacity updates on the node's compute edge (zero capacity
+    // severs exactly the flow through the node), then a warm-start
+    // repair restores a maximum flow.
+    for (size_t i = 0; i < alive.size(); ++i) {
+        int node = static_cast<int>(i);
+        flow::EdgeId e = liveGraph->computeEdge(node);
+        if (e == flow::kInvalidEdge)
+            continue;
+        double want = effectiveCapacity(node);
+        // helix-lint: allow(float-eq) exact no-op filter: capacities are copied values, never computed, so equal means unchanged
+        if (liveGraph->graph().edge(e).originalCapacity != want)
+            liveGraph->setComputeCapacity(node, want);
+    }
+    (void)liveGraph->repairFlow(); // value read via publish()
+    ++repairs;
+    publish();
+}
+
+void
+TopologyManager::publish()
+{
+    // The published Topology carries the placement masked to live
+    // nodes, so schedulers see dead nodes as layer-less. Topology
+    // copies the placements and edge flows it needs; consumers of
+    // current() copy in turn (RequestScheduler::onTopologyChange), so
+    // the replaced topology can be released immediately.
     placement::ModelPlacement masked = placementRef;
     for (size_t i = 0; i < masked.size(); ++i) {
         if (!alive[i])
             masked[i] = placement::NodePlacement{0, 0};
     }
-    if (mode == ResolveMode::Repair) {
-        // The persistent graph keeps every node; liveness and drift
-        // are capacity updates on the node's compute edge (zero
-        // capacity severs exactly the flow through the node), then a
-        // warm-start repair restores a maximum flow.
-        for (size_t i = 0; i < alive.size(); ++i) {
-            int node = static_cast<int>(i);
-            if (liveGraph->computeEdge(node) == flow::kInvalidEdge)
-                continue;
-            double want = effectiveCapacity(node);
-            flow::EdgeId e = liveGraph->computeEdge(node);
-            // helix-lint: allow(float-eq) exact no-op filter: capacities are copied values, never computed, so equal means unchanged
-            if (liveGraph->graph().edge(e).originalCapacity != want)
-                liveGraph->setComputeCapacity(node, want);
-        }
-        (void)liveGraph->repairFlow(); // value read via nodeFlow below
-        ++repairs;
-        topo = std::make_unique<Topology>(clusterRef, profilerRef,
-                                          masked, *liveGraph);
-        for (size_t i = 0; i < planned.size(); ++i)
-            planned[i] = liveGraph->nodeFlow(static_cast<int>(i));
-        return;
-    }
-    placement::GraphBuildOptions local = opts;
-    local.computeCapOverride = &capOverride;
-    placement::PlacementGraph graph(clusterRef, profilerRef, masked,
-                                    local);
-    (void)graph.maxThroughput(); // prime flows before Topology copies
-    // Topology copies the placements and edge flows it needs, so the
-    // local graph and masked placement may go out of scope. Consumers
-    // of current() copy in turn (RequestScheduler::onTopologyChange),
-    // so the replaced topology can be released immediately.
     topo = std::make_unique<Topology>(clusterRef, profilerRef, masked,
-                                      graph);
+                                      *liveGraph);
     for (size_t i = 0; i < planned.size(); ++i)
-        planned[i] = graph.nodeFlow(static_cast<int>(i));
-    ++solves;
+        planned[i] = liveGraph->nodeFlow(static_cast<int>(i));
 }
 
 } // namespace scheduler

@@ -13,21 +13,18 @@
  * fresh Topology whose edge flows become the schedulers' IWRR weights
  * (RequestScheduler::onTopologyChange swaps them in).
  *
- * Two re-solve strategies are supported (ResolveMode):
- *
- * - Cold: rebuild the placement graph masked to live nodes and
- *   re-solve preflow-push from scratch. Deterministic — the masked
- *   graph is rebuilt in node order and solved with the same
- *   preflow-push configuration every time, so a given liveness set
- *   always yields byte-identical flows.
- *
- * - Repair: keep one persistent flow network over the full placement
- *   where every liveness/capacity event is a single compute-edge
- *   capacity update (a dead node's in->out edge drops to zero, which
- *   severs exactly the flow through that node), then warm-start
- *   PreflowPush::repair() so only the affected flow is cancelled and
- *   re-augmented. The repaired flow value always equals the cold
- *   value; per-edge flows agree whenever the max flow is unique.
+ * The manager keeps one persistent flow network over the full
+ * placement. Every liveness or capacity event is a single
+ * compute-edge capacity update on it (a dead node's in->out edge
+ * drops to zero, which severs exactly the flow through that node),
+ * followed by a warm-start PreflowPush::repair() that cancels and
+ * re-augments only the affected flow. The repaired flow value always
+ * equals a cold solve of the placement graph masked to live nodes;
+ * per-edge flows agree whenever the max flow is unique, and otherwise
+ * repair keeps the surviving part of the previous routing. The
+ * published Topology keeps a dead node's edges, carrying no flow
+ * beyond the flow tolerance (flow::kFlowEps). The cold solve and
+ * Dinic serve as test oracles only.
  *
  * Beyond liveness, capacity overrides generalize the re-solve trigger
  * to observed-throughput drift (ROADMAP: "Incremental max-flow and
@@ -50,15 +47,6 @@
 namespace helix {
 namespace scheduler {
 
-/** How TopologyManager re-solves after a liveness or capacity event. */
-enum class ResolveMode
-{
-    /** Rebuild the masked placement graph and cold-solve (default). */
-    Cold,
-    /** Keep one persistent flow network and warm-start repair. */
-    Repair,
-};
-
 /**
  * Tracks node liveness and keeps a Topology solved on the surviving
  * subgraph of a placement. The cluster, profiler, and placement are
@@ -74,9 +62,7 @@ class TopologyManager
   public:
     TopologyManager(const cluster::ClusterSpec &cluster,
                     const cluster::Profiler &profiler,
-                    const placement::ModelPlacement &placement,
-                    placement::GraphBuildOptions options = {},
-                    ResolveMode mode = ResolveMode::Cold);
+                    const placement::ModelPlacement &placement);
 
     /** The topology solved for the current liveness set. */
     HELIX_COORDINATOR_ONLY
@@ -122,24 +108,19 @@ class TopologyManager
     HELIX_COORDINATOR_ONLY
     [[nodiscard]] double currentFlow() const { return topo->maxFlow(); }
 
-    /** Number of cold max-flow solves performed (initial build + one
-     *  per effective event in Cold mode). */
-    HELIX_COORDINATOR_ONLY
-    [[nodiscard]] int numSolves() const { return solves; }
-
-    /** Number of warm-start incremental repairs performed (Repair
-     *  mode only; the initial build is always a cold solve). */
+    /** Number of warm-start incremental repairs performed (one per
+     *  effective event; the initial build is a cold solve). */
     HELIX_COORDINATOR_ONLY
     [[nodiscard]] int numRepairs() const { return repairs; }
 
-    HELIX_COORDINATOR_ONLY
-    [[nodiscard]] ResolveMode resolveMode() const { return mode; }
-
   private:
-    /** Rebuild the masked placement graph and re-solve (Cold), or
-     *  update the persistent graph's capacities and repair (Repair),
-     *  then refresh the published Topology. */
+    /** Update the persistent graph's compute capacities, repair the
+     *  flow, and publish. */
     void resolve();
+
+    /** Refresh the published Topology and planned node flows from
+     *  the persistent graph. */
+    void publish();
 
     /** Compute capacity currently in force for @p node. */
     double effectiveCapacity(int node) const;
@@ -147,17 +128,14 @@ class TopologyManager
     const cluster::ClusterSpec &clusterRef;
     const cluster::Profiler &profilerRef;
     const placement::ModelPlacement &placementRef;
-    placement::GraphBuildOptions opts;
-    ResolveMode mode;
     std::vector<bool> alive;
     /** Per-node compute-capacity override (tokens/s); < 0 = profiled. */
     std::vector<double> capOverride;
-    /** Persistent flow network (Repair mode only). */
+    /** Persistent flow network over the full placement. */
     std::unique_ptr<placement::PlacementGraph> liveGraph;
     std::unique_ptr<Topology> topo;
     /** Planned per-node compute-edge flow of the current topology. */
     std::vector<double> planned;
-    int solves = 0;
     int repairs = 0;
 };
 

@@ -34,7 +34,6 @@ const char *
 toString(ResolveKind kind)
 {
     switch (kind) {
-      case ResolveKind::Cold:   return "cold";
       case ResolveKind::Repair: return "repair";
       case ResolveKind::Drift:  return "drift";
     }
@@ -215,94 +214,6 @@ ClusterSimulator::nodeAlive(int node) const
 void
 ClusterSimulator::tryAdmit()
 {
-    if (fair != nullptr) {
-        // Tenancy active: admission is arbitrated per tenant class.
-        // The single-queue loop below stays byte-identical for runs
-        // without tenants.
-        tryAdmitFair();
-        return;
-    }
-    while (!pending.empty()) {
-        long active = metrics.requestsAdmitted -
-                      metrics.requestsCompleted;
-        if (cfg.maxActiveRequests > 0 &&
-            active >= cfg.maxActiveRequests) {
-            break; // Engine-level KV backpressure.
-        }
-        int idx = pending.front();
-        RequestState &rs = requests[idx];
-        auto pipeline = sched.schedule(rs.request, *this);
-        if (!pipeline) {
-            // Nothing admissible right now. If the cluster is
-            // completely idle AND fully alive, this request can never
-            // be served (it exceeds every node's standalone
-            // capacity): reject it to avoid blocking the queue
-            // forever. With a dead node the inference does not hold —
-            // a scheduled recover event may restore the missing stage
-            // — so the backlog is held instead of rejected.
-            bool idle = true;
-            bool any_dead = false;
-            for (size_t node = 0; node < nodes.size(); ++node) {
-                // Busy/in-flight go through the coordinator view so the
-                // parallel executor answers with the mirror (the state
-                // as of the node events that precede this coordinator
-                // event); `dead` only changes at barriers and is safe
-                // to read live.
-                if (nodes[node].dead) {
-                    any_dead = true;
-                } else if (nodeBusyView(static_cast<int>(node)) ||
-                           nodeInFlightView(static_cast<int>(node)) >
-                               0) {
-                    idle = false;
-                    break;
-                }
-            }
-            long still_active = metrics.requestsAdmitted -
-                                metrics.requestsCompleted;
-            if (idle && !any_dead && still_active <= 0) {
-                ++metrics.requestsRejected;
-                pending.pop_front();
-                continue;
-            }
-            break;
-        }
-        HELIX_ASSERT(scheduler::pipelineValid(
-            *pipeline, profiler.modelSpec().numLayers));
-        pending.pop_front();
-        rs.pipeline = std::move(*pipeline);
-        rs.kvWritten.assign(rs.pipeline.size(), 0.0);
-        rs.admitted = true;
-        ++metrics.requestsAdmitted;
-        sched.onRequestAdmitted(rs.request, rs.pipeline);
-        // Dispatch the prompt: the coordinator ships the token ids of
-        // the prompt to the first stage.
-        int first_node = rs.pipeline.front().node;
-        double bytes = static_cast<double>(rs.request.promptLen) *
-                       profiler.tokenBytes();
-        Event ev;
-        ev.kind = Event::Kind::WorkDelivery;
-        ev.node = first_node;
-        ev.item = WorkItem{idx, 0, rs.request.promptLen, rs.epoch,
-                           true, true};
-        scheduleEvent(
-            transferDelivery(cluster::kCoordinator, first_node, bytes),
-            ev);
-    }
-}
-
-int
-ClusterSimulator::tenantOf(int request_index) const
-{
-    const int t =
-        requests[static_cast<size_t>(request_index)].request.tenant;
-    if (fair == nullptr || t < 0 || t >= fair->numTenants())
-        return 0;
-    return t;
-}
-
-void
-ClusterSimulator::tryAdmitFair()
-{
     const double tnow = curTime();
     for (;;) {
         long active = metrics.requestsAdmitted -
@@ -313,7 +224,8 @@ ClusterSimulator::tryAdmitFair()
         }
         // The most under-share demanding tenant goes first; tenants
         // over share beyond tolerance are held while anyone else sits
-        // below share (weighted max-min, scheduler/fair_share.h).
+        // below share (weighted max-min, scheduler/fair_share.h). One
+        // tenant is plain FIFO.
         int idx = fair->popNext(tnow);
         if (idx < 0)
             break; // Every queue is empty or held.
@@ -321,13 +233,22 @@ ClusterSimulator::tryAdmitFair()
         RequestState &rs = requests[static_cast<size_t>(idx)];
         auto pipeline = sched.schedule(rs.request, *this);
         if (!pipeline) {
-            // Same can-never-serve inference as the single-queue
-            // path: reject only when the idle, fully-alive cluster
-            // provably cannot serve this request; otherwise hold the
-            // backlog (head of its tenant's queue).
+            // Nothing admissible right now. If the cluster is
+            // completely idle AND fully alive, this request can never
+            // be served (it exceeds every node's standalone
+            // capacity): reject it to avoid blocking the queue
+            // forever. With a dead node the inference does not hold —
+            // a scheduled recover event may restore the missing stage
+            // — so the backlog is held (head of its tenant's queue)
+            // instead of rejected.
             bool idle = true;
             bool any_dead = false;
             for (size_t node = 0; node < nodes.size(); ++node) {
+                // Busy/in-flight go through the coordinator view so the
+                // parallel executor answers with the mirror (the state
+                // as of the node events that precede this coordinator
+                // event); `dead` only changes at barriers and is safe
+                // to read live.
                 if (nodes[node].dead) {
                     any_dead = true;
                 } else if (nodeBusyView(static_cast<int>(node)) ||
@@ -358,6 +279,8 @@ ClusterSimulator::tryAdmitFair()
               .requestsAdmitted;
         fair->onAdmitted(t);
         sched.onRequestAdmitted(rs.request, rs.pipeline);
+        // Dispatch the prompt: the coordinator ships the token ids of
+        // the prompt to the first stage.
         int first_node = rs.pipeline.front().node;
         double bytes = static_cast<double>(rs.request.promptLen) *
                        profiler.tokenBytes();
@@ -373,11 +296,19 @@ ClusterSimulator::tryAdmitFair()
     maybeSchedulePreempt();
 }
 
+int
+ClusterSimulator::tenantOf(int request_index) const
+{
+    const int t =
+        requests[static_cast<size_t>(request_index)].request.tenant;
+    if (t < 0 || t >= fair->numTenants())
+        return 0;
+    return t;
+}
+
 void
 ClusterSimulator::maybeSchedulePreempt()
 {
-    if (fair == nullptr)
-        return;
     const double tnow = curTime();
     int victim_class = fair->checkPreemption(tnow);
     if (victim_class < 0)
@@ -740,8 +671,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     // Fair-share usage is charged per physically generated token —
     // including churn/preemption regeneration, which consumes real
     // capacity just the same.
-    if (fair != nullptr)
-        fair->noteDecodeToken(tenantOf(request), tnow);
+    fair->noteDecodeToken(tenantOf(request), tnow);
     // After a churn restart the pipeline regenerates tokens it had
     // already delivered; only tokens beyond the high-water mark are
     // new output.
@@ -760,26 +690,21 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         if (!rs.restartedEver && inWindow(tnow) &&
             inWindow(rs.request.arrivalS)) {
             metrics.promptLatency.add(tnow - rs.request.arrivalS);
-            if (fair != nullptr) {
-                // Per-tenant TTFT SLO sample, same mixed-window and
-                // restart guards as the latency distribution.
-                SimMetrics::TenantStat &stat =
-                    metrics.tenantStats[static_cast<size_t>(
-                        tenantOf(request))];
-                if (stat.sloTtftS > 0.0) {
-                    ++stat.ttftSamples;
-                    if (tnow - rs.request.arrivalS <= stat.sloTtftS)
-                        ++stat.ttftMet;
-                }
+            // Per-tenant TTFT SLO sample, same mixed-window and
+            // restart guards as the latency distribution.
+            SimMetrics::TenantStat &stat =
+                metrics.tenantStats[static_cast<size_t>(
+                    tenantOf(request))];
+            if (stat.sloTtftS > 0.0) {
+                ++stat.ttftSamples;
+                if (tnow - rs.request.arrivalS <= stat.sloTtftS)
+                    ++stat.ttftMet;
             }
         }
     } else if (new_token && inWindow(tnow)) {
         ++metrics.decodeTokensInWindow;
-        if (fair != nullptr) {
-            ++metrics
-                  .tenantStats[static_cast<size_t>(tenantOf(request))]
-                  .decodeTokensInWindow;
-        }
+        ++metrics.tenantStats[static_cast<size_t>(tenantOf(request))]
+              .decodeTokensInWindow;
     }
 
     if (rs.generated >= rs.request.outputLen) {
@@ -793,12 +718,10 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         rs.finishTime = tnow;
         rs.finished = true;
         ++metrics.requestsCompleted;
-        if (fair != nullptr) {
-            int t = tenantOf(request);
-            ++metrics.tenantStats[static_cast<size_t>(t)]
-                  .requestsCompleted;
-            fair->onFinished(t);
-        }
+        const int tenant = tenantOf(request);
+        ++metrics.tenantStats[static_cast<size_t>(tenant)]
+              .requestsCompleted;
+        fair->onFinished(tenant);
         for (size_t s = 0; s < rs.pipeline.size(); ++s) {
             int stage_node = rs.pipeline[s].node;
             Event ev;
@@ -828,15 +751,12 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
             double tpot = (rs.finishTime - rs.firstTokenTime) /
                           (rs.request.outputLen - 1);
             metrics.decodeLatency.add(tpot);
-            if (fair != nullptr) {
-                SimMetrics::TenantStat &stat =
-                    metrics.tenantStats[static_cast<size_t>(
-                        tenantOf(request))];
-                if (stat.sloTpotS > 0.0) {
-                    ++stat.tpotSamples;
-                    if (tpot <= stat.sloTpotS)
-                        ++stat.tpotMet;
-                }
+            SimMetrics::TenantStat &stat =
+                metrics.tenantStats[static_cast<size_t>(tenant)];
+            if (stat.sloTpotS > 0.0) {
+                ++stat.tpotSamples;
+                if (tpot <= stat.sloTpotS)
+                    ++stat.tpotMet;
             }
         }
         tryAdmit();
@@ -857,8 +777,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     // ride the coordinator's natural cadence. May preempt the very
     // request whose next decode was just scheduled — the epoch bump
     // then makes that delivery stale.
-    if (fair != nullptr)
-        maybeSchedulePreempt();
+    maybeSchedulePreempt();
 }
 
 void
@@ -881,14 +800,10 @@ ClusterSimulator::topologyManager()
     // for the extra max-flow solves. The first build solves the full
     // topology (identical flows to the deployment's own solve —
     // construction and preflow-push are deterministic), then each
-    // event re-solves on the surviving subgraph, cold or via
-    // warm-start repair per SimConfig::repairTopology.
+    // event repairs that flow on the surviving subgraph.
     if (!topoManager) {
         topoManager = std::make_unique<scheduler::TopologyManager>(
-            clusterRef, profiler, placementRef,
-            placement::GraphBuildOptions{},
-            cfg.repairTopology ? scheduler::ResolveMode::Repair
-                               : scheduler::ResolveMode::Cold);
+            clusterRef, profiler, placementRef);
     }
     return *topoManager;
 }
@@ -903,13 +818,10 @@ ClusterSimulator::resolveTopology(int node, ChurnEvent::Kind kind)
     // decision can observe a half-updated weight set, because the
     // rebind happens inside this event before any walk runs.
     sched.onTopologyChange(manager.current());
-    metrics.flowEvents.push_back({curTime(), node, kind, flow,
-                                  cfg.repairTopology
-                                      ? ResolveKind::Repair
-                                      : ResolveKind::Cold});
+    metrics.flowEvents.push_back(
+        {curTime(), node, kind, flow, ResolveKind::Repair});
     // Fair shares divide the LIVE serving capacity.
-    if (fair != nullptr)
-        fair->setCapacity(flow);
+    fair->setCapacity(flow);
 }
 
 bool
@@ -953,8 +865,7 @@ ClusterSimulator::applyDriftResolve(int node, double ewma_speed)
     metrics.flowEvents.push_back({curTime(), node,
                                   ChurnEvent::Kind::Drift, flow,
                                   ResolveKind::Drift});
-    if (fair != nullptr)
-        fair->setCapacity(flow);
+    fair->setCapacity(flow);
 }
 
 void
@@ -1020,12 +931,8 @@ ClusterSimulator::onNodeFailure(int node)
         ++metrics.requestsRestarted;
         restarted.push_back(static_cast<int>(i));
     }
-    for (auto it = restarted.rbegin(); it != restarted.rend(); ++it) {
-        if (fair != nullptr)
-            fair->requeueFront(tenantOf(*it), *it);
-        else
-            pending.push_front(*it);
-    }
+    for (auto it = restarted.rbegin(); it != restarted.rend(); ++it)
+        fair->requeueFront(tenantOf(*it), *it);
 
     purgeStaleQueuedWork();
     tryAdmit();
@@ -1048,11 +955,9 @@ ClusterSimulator::restartRequest(int request_index, int skip_node)
     sched.onRequestFinished(rs.request, rs.pipeline);
     // It will be admitted again: un-count it, per tenant too.
     --metrics.requestsAdmitted;
-    if (fair != nullptr) {
-        const int t = tenantOf(request_index);
-        fair->onPreempted(t);
-        --metrics.tenantStats[static_cast<size_t>(t)].requestsAdmitted;
-    }
+    const int t = tenantOf(request_index);
+    fair->onPreempted(t);
+    --metrics.tenantStats[static_cast<size_t>(t)].requestsAdmitted;
     rs.admitted = false;
     rs.restartedEver = true;
     rs.generated = 0;
@@ -1114,18 +1019,14 @@ void
 ClusterSimulator::dispatch(const Event &event)
 {
     switch (event.kind) {
-      case Event::Kind::Arrival:
+      case Event::Kind::Arrival: {
         ++metrics.requestsArrived;
-        if (fair != nullptr) {
-            int t = tenantOf(event.item.request);
-            ++metrics.tenantStats[static_cast<size_t>(t)]
-                  .requestsArrived;
-            fair->enqueue(t, event.item.request);
-        } else {
-            pending.push_back(event.item.request);
-        }
+        int t = tenantOf(event.item.request);
+        ++metrics.tenantStats[static_cast<size_t>(t)].requestsArrived;
+        fair->enqueue(t, event.item.request);
         tryAdmit();
         break;
+      }
       case Event::Kind::WorkDelivery:
         enqueueWork(event.node, event.item);
         break;
@@ -1154,16 +1055,12 @@ ClusterSimulator::dispatch(const Event &event)
 std::vector<ChurnEvent>
 ClusterSimulator::churnSchedule() const
 {
-    // Churn schedule: the legacy single-failure pair first, then the
-    // event list, with invalid/drift entries dropped up front so both
-    // executors see the identical filtered sequence. Ordering among
-    // same-time events follows insertion order (duplicate entries tie
-    // on the content key and fall through to the sequence number).
+    // Churn schedule: the event list with invalid/drift entries
+    // dropped up front so both executors see the identical filtered
+    // sequence. Ordering among same-time events follows insertion
+    // order (duplicate entries tie on the content key and fall
+    // through to the sequence number).
     std::vector<ChurnEvent> churn;
-    if (cfg.failNodeIndex >= 0 && cfg.failAtSeconds >= 0.0) {
-        churn.push_back({ChurnEvent::Kind::Fail, cfg.failNodeIndex,
-                         cfg.failAtSeconds});
-    }
     for (const ChurnEvent &event : cfg.churnEvents) {
         if (event.node < 0 ||
             event.node >= static_cast<int>(nodes.size()) ||
@@ -1220,36 +1117,39 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
         requests.push_back(std::move(rs));
     }
 
-    if (cfg.tenants.size() >= 2) {
-        scheduler::FairShareController::Config fc;
-        fc.tenants = cfg.tenants;
-        fc.starvationTolerance = cfg.starvationTolerance;
-        fc.preemptionTimeoutS = cfg.preemptionTimeoutS;
-        fc.usageTauS = cfg.throughputEwmaTauS;
-        fair = std::make_unique<scheduler::FairShareController>(
-            std::move(fc));
-        // Preemption decisions take effect one minimum link latency
-        // later — the same conservative window the parallel executor
-        // rounds on, so a Preempt event is always beyond the horizon
-        // of the round that scheduled it.
-        preemptDelayS = clusterRef.minLinkLatency();
-        if (!std::isfinite(preemptDelayS))
-            preemptDelayS = 0.0;
-        // Shares divide the live serving capacity: the topology
-        // manager's current max-flow, re-fed on every churn or drift
-        // re-solve.
-        fair->setCapacity(topologyManager().currentFlow());
-        metrics.tenantStats.resize(cfg.tenants.size());
-        for (size_t t = 0; t < cfg.tenants.size(); ++t) {
-            SimMetrics::TenantStat &stat = metrics.tenantStats[t];
-            stat.name = cfg.tenants[t].name;
-            stat.weight = cfg.tenants[t].weight;
-            stat.sloTtftS = cfg.tenants[t].sloTtftS;
-            stat.sloTpotS = cfg.tenants[t].sloTpotS;
-        }
-    } else {
-        fair.reset();
+    // Tenancy is active with two or more declared tenants: only then
+    // do shares track the live capacity and the run report per-tenant
+    // statistics and a Jain index. Otherwise one implicit tenant
+    // admits FIFO: with a single class nothing is ever held or
+    // preempted, so the run is the plain single-queue simulator.
+    const bool tenancy = cfg.tenants.size() >= 2;
+    scheduler::FairShareController::Config fc;
+    fc.tenants = tenancy ? cfg.tenants
+                         : std::vector<scheduler::Tenant>(1);
+    fc.starvationTolerance = cfg.starvationTolerance;
+    fc.preemptionTimeoutS = cfg.preemptionTimeoutS;
+    fc.usageTauS = cfg.throughputEwmaTauS;
+    metrics.tenantStats.resize(fc.tenants.size());
+    for (size_t t = 0; t < fc.tenants.size(); ++t) {
+        SimMetrics::TenantStat &stat = metrics.tenantStats[t];
+        stat.name = fc.tenants[t].name;
+        stat.weight = fc.tenants[t].weight;
+        stat.sloTtftS = fc.tenants[t].sloTtftS;
+        stat.sloTpotS = fc.tenants[t].sloTpotS;
     }
+    fair = std::make_unique<scheduler::FairShareController>(
+        std::move(fc));
+    // Preemption decisions take effect one minimum link latency
+    // later — the same conservative window the parallel executor
+    // rounds on, so a Preempt event is always beyond the horizon of
+    // the round that scheduled it.
+    preemptDelayS = clusterRef.minLinkLatency();
+    if (!std::isfinite(preemptDelayS))
+        preemptDelayS = 0.0;
+    // Shares divide the live serving capacity: the topology manager's
+    // current max-flow, re-fed on every churn or drift re-solve.
+    if (tenancy)
+        fair->setCapacity(topologyManager().currentFlow());
 
     const double end_time = cfg.warmupSeconds + cfg.measureSeconds;
     std::vector<ChurnEvent> churn = churnSchedule();
@@ -1314,7 +1214,9 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
             }
         }
     }
-    if (fair != nullptr) {
+    if (!tenancy) {
+        metrics.tenantStats.clear();
+    } else {
         double sum = 0.0;
         double sum_sq = 0.0;
         for (SimMetrics::TenantStat &stat : metrics.tenantStats) {

@@ -87,19 +87,18 @@ struct ChurnEvent
 const char *toString(ChurnEvent::Kind kind);
 
 /**
- * How a topology re-solve happened: a cold solve of the masked
- * placement graph, a warm-start incremental repair of the persistent
- * flow network, or a drift-triggered capacity shrink (a node's
- * observed EWMA throughput fell below its planned flow).
+ * Why a topology re-solve happened: a fail/recover event repaired
+ * into the persistent flow network, or a drift-triggered capacity
+ * shrink (a node's observed EWMA throughput fell below its planned
+ * flow). Both are warm-start repairs of the same network.
  */
 enum class ResolveKind : uint8_t
 {
-    Cold,
     Repair,
     Drift,
 };
 
-/** Human-readable name of a ResolveKind ("cold"/"repair"/"drift"). */
+/** Human-readable name of a ResolveKind ("repair"/"drift"). */
 const char *toString(ResolveKind kind);
 
 /** Simulation parameters. */
@@ -131,21 +130,15 @@ struct SimConfig
      */
     int maxActiveRequests = 0;
     /**
-     * Legacy single-failure churn: node @p failNodeIndex fails at
-     * @p failAtSeconds. Its queued and in-flight work is dropped,
-     * affected requests restart from the prompt through the scheduler,
-     * and schedulers see the node as dead (SchedulerContext::
-     * nodeAlive). Negative values disable it. Merged ahead of
-     * @p churnEvents at run start; prefer the event schedule.
-     */
-    int failNodeIndex = -1;
-    double failAtSeconds = -1.0;
-    /**
      * Churn event schedule: fail and recover events applied in time
-     * order. Each event triggers a max-flow re-solve on the surviving
-     * subgraph and a topology swap into the scheduler; the resulting
-     * flow values are logged in SimMetrics::flowEvents. Events with
-     * out-of-range nodes or negative times are ignored.
+     * order. A failed node's queued and in-flight work is dropped,
+     * affected requests restart from the prompt through the
+     * scheduler, and schedulers see the node as dead
+     * (SchedulerContext::nodeAlive). Each event triggers a max-flow
+     * repair on the surviving subgraph and a topology swap into the
+     * scheduler; the resulting flow values are logged in
+     * SimMetrics::flowEvents. Events with out-of-range nodes or
+     * negative times are ignored.
      */
     std::vector<ChurnEvent> churnEvents;
     /**
@@ -155,14 +148,6 @@ struct SimConfig
      * the same total duration influence the estimate equally.
      */
     double throughputEwmaTauS = 10.0;
-    /**
-     * Re-solve churn events with warm-start incremental repair
-     * (scheduler::ResolveMode::Repair) instead of cold re-solves of
-     * the masked placement graph. Same flow value either way; the
-     * per-event cost drops from a full preflow-push to the repair
-     * delta.
-     */
-    bool repairTopology = false;
     /**
      * Drift-triggered re-solve threshold, as a fraction in (0, 1):
      * after a batch completes on a node whose speed estimate has
@@ -198,10 +183,11 @@ struct SimConfig
     int simThreads = 1;
     /**
      * Tenant classes for fair-share admission arbitration
-     * (scheduler::FairShareController). Fewer than two entries keeps
-     * the original single-queue admission path — runs without
+     * (scheduler::FairShareController). Fewer than two entries run
+     * one implicit tenant, whose queue is plain FIFO — runs without
      * tenants (or with one) are byte-identical to pre-tenancy
-     * behavior at every simThreads count.
+     * behavior at every simThreads count, and report no per-tenant
+     * statistics.
      */
     std::vector<scheduler::Tenant> tenants;
     /** Fair-share starvation tolerance in [0, 1] (see
@@ -267,8 +253,8 @@ struct SimMetrics
         ChurnEvent::Kind kind = ChurnEvent::Kind::Fail;
         /** Max-flow of the live topology after the event, tokens/s. */
         double flow = 0.0;
-        /** How the re-solve happened: cold | repair | drift. */
-        ResolveKind resolveKind = ResolveKind::Cold;
+        /** Why the re-solve happened: repair | drift. */
+        ResolveKind resolveKind = ResolveKind::Repair;
     };
     std::vector<FlowEvent> flowEvents;
     long decodeTokensInWindow = 0;
@@ -560,18 +546,14 @@ class ClusterSimulator : public scheduler::SchedulerContext
     HELIX_CONTEXT_DISPATCH
     void dispatch(const Event &event);
 
-    /** Try to admit pending requests through the scheduler. */
+    /** Admit queued requests through the scheduler: pull from the
+     *  most under-share tenant's queue (FIFO with one tenant) until
+     *  the scheduler refuses or the active cap binds. */
     HELIX_COORDINATOR_ONLY
     void tryAdmit();
 
-    /** Fair-share admission: pull from the most under-share tenant's
-     *  queue until the scheduler refuses or the active cap binds.
-     *  Runs instead of the FIFO loop when tenancy is active. */
-    HELIX_COORDINATOR_ONLY
-    void tryAdmitFair();
-
-    /** Tenant class of a request (clamped to the declared range,
-     *  validated against the fair-share arbiter when one exists). */
+    /** Tenant class of a request (clamped to the arbiter's classes;
+     *  0 for every request when tenancy is inactive). */
     HELIX_COORDINATOR_ONLY
     int tenantOf(int request_index) const;
 
@@ -653,7 +635,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
     void resolveTopology(int node, ChurnEvent::Kind kind);
 
     /** Lazily build the live-topology manager (first churn or drift
-     *  event), honoring SimConfig::repairTopology. */
+     *  event, or run start when tenancy is active). */
     HELIX_COORDINATOR_ONLY
     scheduler::TopologyManager &topologyManager();
 
@@ -729,8 +711,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     std::vector<NodeState> nodes;
     std::vector<RequestState> requests;
-    /** Admission queue: coordinator-phase state, like the arbiter. */
-    HELIX_COORDINATOR_ONLY std::deque<int> pending;
     /**
      * Link state per source endpoint (index from + 1, row 0 = the
      * coordinator), each row sorted by destination; an entry is
@@ -751,10 +731,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
     std::unique_ptr<scheduler::TopologyManager> topoManager;
 
     /**
-     * Fair-share admission arbiter, created per run() when two or
-     * more tenants are configured; null otherwise, leaving the
-     * original single-queue admission path (and its byte-exact
-     * behavior) untouched.
+     * Admission arbiter and queues, created per run(): one class per
+     * configured tenant when two or more are declared, otherwise one
+     * implicit class (FIFO, never held, never preempted).
      */
     HELIX_COORDINATOR_ONLY
     std::unique_ptr<scheduler::FairShareController> fair;

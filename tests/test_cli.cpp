@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -87,17 +89,29 @@ class CliTest : public ::testing::Test
 
 TEST_F(CliTest, ValidateAcceptsShippedExamples)
 {
-    CmdResult result = helixctl("validate " +
-                                examplePath("fig6.exp") + " " +
-                                examplePath("sweep.exp") + " " +
-                                examplePath("portfolio.exp"));
+    // Every shipped spec, so a new example is covered on arrival.
+    std::vector<std::string> names;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(HELIX_EXAMPLES_DIR)) {
+        if (entry.path().extension() == ".exp")
+            names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    for (const char *expected : {"churn.exp", "fig6.exp", "portfolio.exp",
+                                 "sweep.exp", "tenants.exp"}) {
+        EXPECT_NE(std::find(names.begin(), names.end(), expected),
+                  names.end())
+            << expected;
+    }
+    std::string args = "validate";
+    for (const std::string &name : names)
+        args += " " + examplePath(name);
+    CmdResult result = helixctl(args);
     EXPECT_EQ(result.exitCode, 0) << result.err;
-    EXPECT_NE(result.out.find("fig6.exp: OK"), std::string::npos)
-        << result.out;
-    EXPECT_NE(result.out.find("sweep.exp: OK"), std::string::npos)
-        << result.out;
-    EXPECT_NE(result.out.find("portfolio.exp: OK"), std::string::npos)
-        << result.out;
+    for (const std::string &name : names) {
+        EXPECT_NE(result.out.find(name + ": OK"), std::string::npos)
+            << result.out;
+    }
 }
 
 TEST_F(CliTest, ValidateReportsLineNumberedErrors)

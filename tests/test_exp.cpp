@@ -204,17 +204,18 @@ TEST(ExperimentRunner, TaskExceptionsPropagateToCaller)
 
 TEST(Scenarios, CatalogMaterializesRunConfigs)
 {
-    Scenario churn = scenarios::nodeChurn(2, 0.5);
+    Scenario churn = scenarios::churnSchedule(
+        {{sim::ChurnEvent::Kind::Fail, 2, 0.5}});
     RunConfig run = churn.toRun(10.0, 30.0, 7);
-    EXPECT_EQ(run.failNodeIndex, 2);
-    EXPECT_DOUBLE_EQ(run.failAtSeconds, 20.0);
+    ASSERT_EQ(run.churnEvents.size(), 1u);
+    EXPECT_EQ(run.churnEvents[0].node, 2);
+    EXPECT_DOUBLE_EQ(run.churnEvents[0].atSeconds, 20.0);
     EXPECT_EQ(run.seed, 7u);
 
     Scenario burst = scenarios::bursty(8.0, 10.0, 90.0);
     RunConfig burst_run = burst.toRun(5.0, 20.0, 3);
     EXPECT_EQ(burst_run.arrivals, ArrivalKind::Bursty);
     EXPECT_DOUBLE_EQ(burst_run.burstMultiplier, 8.0);
-    EXPECT_LT(burst_run.failNodeIndex, 0);
     EXPECT_TRUE(burst_run.churnEvents.empty());
 
     Scenario schedule = scenarios::churnSchedule(
@@ -223,7 +224,6 @@ TEST(Scenarios, CatalogMaterializesRunConfigs)
         false);
     RunConfig sched_run = schedule.toRun(10.0, 30.0, 7);
     EXPECT_FALSE(sched_run.online);
-    EXPECT_LT(sched_run.failNodeIndex, 0);
     ASSERT_EQ(sched_run.churnEvents.size(), 2u);
     EXPECT_EQ(sched_run.churnEvents[0].kind,
               sim::ChurnEvent::Kind::Fail);
@@ -245,8 +245,10 @@ TEST(Sweep, ExpandsCartesianProductAndRuns)
     sweep.schedulers = {"helix", "swarm"};
     // Offline-mode churn saturates arrivals so the short smoke
     // window is guaranteed traffic.
-    sweep.scenarios = {scenarios::offline(),
-                       scenarios::nodeChurn(0, 0.3, false)};
+    sweep.scenarios = {
+        scenarios::offline(),
+        scenarios::churnSchedule({{sim::ChurnEvent::Kind::Fail, 0, 0.3}},
+                                 false)};
     sweep.plannerBudgetS = 0.05;
     sweep.warmupSeconds = 1.0;
     sweep.measureSeconds = 3.0;
@@ -331,8 +333,8 @@ TEST(Emitters, JsonAndCsvCarryEveryRow)
  * events and zero-sample latency accumulators: empty samples emit
  * empty CSV fields / JSON nulls (a silent 0.0 is indistinguishable
  * from a real zero-latency measurement), and the churn log carries
- * each event's re-solved flow plus how it was re-solved
- * (cold | repair | drift).
+ * each event's re-solved flow plus why it was re-solved
+ * (repair | drift).
  */
 TEST(Emitters, ZeroSampleStatsAndChurnEventsPinned)
 {
@@ -345,7 +347,7 @@ TEST(Emitters, ZeroSampleStatsAndChurnEventsPinned)
     r.arrivals = "poisson";
     r.metrics.flowEvents.push_back(
         {12.5, 1, sim::ChurnEvent::Kind::Fail, 1000.0,
-         sim::ResolveKind::Cold});
+         sim::ResolveKind::Repair});
     r.metrics.flowEvents.push_back(
         {30.0, 1, sim::ChurnEvent::Kind::Recover, 2000.0,
          sim::ResolveKind::Repair});
@@ -363,7 +365,7 @@ TEST(Emitters, ZeroSampleStatsAndChurnEventsPinned)
         "requests_admitted,requests_completed,requests_rejected,"
         "requests_restarted,avg_kv_utilization,wall_seconds\n"
         "\"empty\",\"c\",\"m\",\"p\",\"s\",\"poisson\","
-        "\"fail:1@12.5=1000/cold;recover:1@30=2000/repair;"
+        "\"fail:1@12.5=1000/repair;recover:1@30=2000/repair;"
         "drift:2@45=1500/drift\","
         "0,0,0,,,,,,,,,0,0,0,0,0,0,0\n");
 
@@ -374,7 +376,7 @@ TEST(Emitters, ZeroSampleStatsAndChurnEventsPinned)
         "\"model\": \"m\", \"planner\": \"p\", \"scheduler\": \"s\", "
         "\"arrivals\": \"poisson\", \"churn_events\": "
         "[{\"kind\": \"fail\", \"node\": 1, \"time\": 12.5, "
-        "\"flow\": 1000, \"resolve\": \"cold\"}, "
+        "\"flow\": 1000, \"resolve\": \"repair\"}, "
         "{\"kind\": \"recover\", \"node\": 1, \"time\": 30, "
         "\"flow\": 2000, \"resolve\": \"repair\"}, "
         "{\"kind\": \"drift\", \"node\": 2, \"time\": 45, "

@@ -410,8 +410,7 @@ TEST_F(SimFixture, NodeFailureForcesRescheduling)
     SimConfig config;
     config.warmupSeconds = 2.0;
     config.measureSeconds = 60.0;
-    config.failNodeIndex = 1;
-    config.failAtSeconds = 10.0;
+    config.churnEvents = {{ChurnEvent::Kind::Fail, 1, 10.0}};
     ClusterSimulator sim(clusterSpec, *profiler, placement, sched,
                          config);
     auto metrics = sim.run(makeRequests(200, 5.0));
@@ -445,8 +444,8 @@ TEST_F(SimFixture, ChurnDoesNotDoubleCountWindowMetrics)
         SimConfig config;
         config.warmupSeconds = 0.0;
         config.measureSeconds = 120.0;
-        config.failNodeIndex = fail_node;
-        config.failAtSeconds = 0.5;
+        config.churnEvents = {
+            {ChurnEvent::Kind::Fail, fail_node, 0.5}};
         ClusterSimulator sim(clusterSpec, *profiler, placement, sched,
                              config);
         auto metrics = sim.run({lone});
@@ -469,8 +468,7 @@ TEST_F(SimFixture, NodeFailureDeterministic)
     SimConfig config;
     config.warmupSeconds = 2.0;
     config.measureSeconds = 40.0;
-    config.failNodeIndex = 0;
-    config.failAtSeconds = 8.0;
+    config.churnEvents = {{ChurnEvent::Kind::Fail, 0, 8.0}};
 
     scheduler::HelixScheduler sched1(*topo);
     ClusterSimulator sim1(clusterSpec, *profiler, placement, sched1,

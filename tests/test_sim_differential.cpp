@@ -224,7 +224,6 @@ scenarioSimConfig(const DiffConfig &config)
             {ChurnEvent::Kind::Recover, 1, 26.0},
             {ChurnEvent::Kind::Fail, config.numNodes / 2, 18.0},
         };
-        sim_config.repairTopology = true;
         break;
       case Scenario::Drift:
         sim_config.driftThreshold = 0.15;

@@ -125,7 +125,10 @@ TEST(SpecGolden, SweepAxesParsesToCartesianMode)
     ASSERT_EQ(spec->scenarios.size(), 4u);
     EXPECT_DOUBLE_EQ(spec->scenarios[0].get("utilization", 0), 2.5);
     EXPECT_DOUBLE_EQ(spec->scenarios[2].get("multiplier", 0), 4.0);
-    EXPECT_DOUBLE_EQ(spec->scenarios[3].get("node", -1), 1.0);
+    ASSERT_EQ(spec->scenarios[3].events.size(), 1u);
+    EXPECT_TRUE(spec->scenarios[3].events[0].fail);
+    EXPECT_EQ(spec->scenarios[3].events[0].node, 1);
+    EXPECT_DOUBLE_EQ(spec->scenarios[3].events[0].atFraction, 0.5);
     EXPECT_DOUBLE_EQ(spec->scenarios[3].get("online", 1), 0.0);
 
     EXPECT_TRUE(exp::validateSpec(*spec, &error)) << error.str();
@@ -261,9 +264,17 @@ TEST(SpecErrors, ScenarioProblems)
                     "'abc'");
     expectSpecError(preamble + "scenario offline seed=1 seed=2\n", 5,
                     "duplicate scenario option 'seed'");
+    expectSpecError(preamble + "scenario churn online=0\n", 5,
+                    "churn scenario requires fail=<node>@<fraction> "
+                    "events");
+    // The removed churn keys name their replacement.
     expectSpecError(preamble + "scenario churn at=0.5\n", 5,
-                    "churn scenario requires node=<index> or "
-                    "fail=<node>@<fraction> events");
+                    "churn option 'at' was removed: declare failures "
+                    "as fail=<node>@<fraction>");
+    expectSpecError(preamble + "scenario churn repair=1 fail=0@0.3\n",
+                    5,
+                    "churn option 'repair' was removed: re-solves "
+                    "always repair");
     expectSpecError(preamble + "scenario online-peak\n"
                                "scenario offline\n",
                     5,
@@ -287,13 +298,12 @@ TEST(SpecErrors, ChurnEventGrammar)
     expectSpecError(preamble + "scenario churn recover=1@\n", 5,
                     "scenario option 'recover' must be "
                     "<node>@<fraction>, got '1@'");
-    // The legacy single-failure keys and the event schedule are
-    // mutually exclusive.
+    // The removed single-failure keys point at the event schedule.
     expectSpecError(preamble +
                         "scenario churn node=0 fail=1@0.3\n",
                     5,
-                    "churn scenario cannot mix node=/at= with "
-                    "fail=/recover= events");
+                    "churn option 'node' was removed: declare "
+                    "failures as fail=<node>@<fraction>");
     // Repeated fail=/recover= keys are legal (an event schedule).
     auto spec = io::experimentFromString(
         preamble +
@@ -454,29 +464,29 @@ TEST(SpecValidate, UnknownNamesReportTheirSpecLine)
 
 TEST(SpecValidate, ChurnNodeMustBeAnIntegerIndex)
 {
+    io::ParseError error;
     auto spec = io::experimentFromString(
         "experiment v1\ncluster planner10\nmodel llama30b\n"
-        "system a swarm helix\nscenario churn node=1.9\n");
-    ASSERT_TRUE(spec.has_value());
-    io::ParseError error;
-    EXPECT_FALSE(exp::validateSpec(*spec, &error));
+        "system a swarm helix\nscenario churn fail=1.9@0.3\n",
+        error);
+    EXPECT_FALSE(spec.has_value());
     EXPECT_EQ(error.line, 5);
-    EXPECT_EQ(error.message,
-              "churn node=1.900000 must be an integer node index");
+    EXPECT_EQ(error.message, "scenario option 'fail' must be "
+                             "<node>@<fraction>, got '1.9@0.3'");
 }
 
 TEST(SpecValidate, ChurnNodeMustExistInEveryCluster)
 {
     auto spec = io::experimentFromString(
         "experiment v1\ncluster planner10\nmodel llama30b\n"
-        "system a swarm helix\nscenario churn node=10\n");
+        "system a swarm helix\nscenario churn fail=10@0.3\n");
     ASSERT_TRUE(spec.has_value());
     io::ParseError error;
     EXPECT_FALSE(exp::validateSpec(*spec, &error));
     EXPECT_EQ(error.line, 5);
     EXPECT_EQ(error.message,
-              "churn node index 10 is out of range for the smallest "
-              "declared cluster (10 nodes)");
+              "churn event node index 10 is out of range for the "
+              "smallest declared cluster (10 nodes)");
 }
 
 TEST(SpecValidate, EnumeratedRegistryNamesAllResolve)
@@ -530,15 +540,6 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     EXPECT_DOUBLE_EQ(run.warmupSeconds, 1.0);
     EXPECT_DOUBLE_EQ(run.measureSeconds, 8.0);
 
-    io::ScenarioSpec churn;
-    churn.kind = "churn";
-    churn.options = {{"node", 3.0}, {"at", 0.5}, {"online", 0.0}};
-    run = exp::scenarioRunConfig(spec, churn, 0.0);
-    EXPECT_FALSE(run.online);
-    EXPECT_EQ(run.failNodeIndex, 3);
-    EXPECT_DOUBLE_EQ(run.failAtSeconds, 0.5 * (2.0 + 8.0));
-    EXPECT_TRUE(run.churnEvents.empty());
-
     // An event schedule materializes at fractions of the horizon.
     io::ScenarioSpec schedule;
     schedule.kind = "churn";
@@ -546,7 +547,6 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     schedule.events = {{true, 1, 0.3, 0}, {false, 1, 0.6, 0}};
     run = exp::scenarioRunConfig(spec, schedule, 0.0);
     EXPECT_FALSE(run.online);
-    EXPECT_LT(run.failNodeIndex, 0);
     ASSERT_EQ(run.churnEvents.size(), 2u);
     EXPECT_EQ(run.churnEvents[0].kind, sim::ChurnEvent::Kind::Fail);
     EXPECT_EQ(run.churnEvents[0].node, 1);
@@ -735,7 +735,7 @@ TEST(DocFileFormats, ChurnExampleMatchesShippedSpec)
 
 TEST(DocFileFormats, ChurnDriftRepairExampleRoundTrips)
 {
-    // Byte-for-byte the worked repair + drift churn example in
+    // Byte-for-byte the worked drift churn example in
     // docs/FILE_FORMATS.md.
     const std::string example =
         "experiment v1\n"
@@ -748,7 +748,7 @@ TEST(DocFileFormats, ChurnDriftRepairExampleRoundTrips)
         "cluster single24\n"
         "model llama30b\n"
         "system helix swarm helix\n"
-        "scenario churn drift=0.25 online=0 repair=1 "
+        "scenario churn drift=0.25 online=0 "
         "fail=4@0.33 recover=4@0.66\n";
     io::ParseError error;
     auto spec = io::experimentFromString(example, error);
@@ -762,13 +762,12 @@ TEST(DocFileFormats, ChurnDriftRepairExampleRoundTrips)
     ASSERT_TRUE(reparsed.has_value());
     EXPECT_EQ(io::experimentToString(*reparsed), canonical);
 
-    // The spec keys reach the run configuration: repair mode on,
-    // drift threshold 0.25, and the event schedule at fractions of
-    // the 1 + 6 second horizon.
+    // The spec keys reach the run configuration: drift threshold
+    // 0.25, and the event schedule at fractions of the 1 + 6 second
+    // horizon.
     ASSERT_EQ(spec->scenarios.size(), 1u);
     RunConfig run =
         exp::scenarioRunConfig(*spec, spec->scenarios[0], 0.0);
-    EXPECT_TRUE(run.repairTopology);
     EXPECT_DOUBLE_EQ(run.driftThreshold, 0.25);
     ASSERT_EQ(run.churnEvents.size(), 2u);
     EXPECT_EQ(run.churnEvents[0].kind, sim::ChurnEvent::Kind::Fail);
@@ -806,13 +805,13 @@ TEST(SpecValidate, GeneratedClusterNamesResolveWithLineErrors)
     // The churn node-range check sees the generated cluster's size.
     auto churn = io::experimentFromString(
         "experiment v1\ncluster gen:two-tier:12:7\nmodel llama30b\n"
-        "system a swarm helix\nscenario churn node=12\n");
+        "system a swarm helix\nscenario churn fail=12@0.3\n");
     ASSERT_TRUE(churn.has_value());
     EXPECT_FALSE(exp::validateSpec(*churn, &error));
     EXPECT_EQ(error.line, 5);
     EXPECT_EQ(error.message,
-              "churn node index 12 is out of range for the smallest "
-              "declared cluster (12 nodes)");
+              "churn event node index 12 is out of range for the "
+              "smallest declared cluster (12 nodes)");
 }
 
 // --- Engine equivalence ---------------------------------------------
@@ -914,7 +913,7 @@ TEST(SpecEngine, ThreadCountInvariant)
         "cluster planner10\nmodel llama30b\n"
         "planner swarm\nplanner sp\n"
         "scheduler helix\n"
-        "scenario offline\nscenario churn node=0 at=0.5 online=0\n");
+        "scenario offline\nscenario churn fail=0@0.5 online=0\n");
     ASSERT_TRUE(spec.has_value());
     exp::RunnerOptions serial;
     serial.numThreads = 1;
@@ -1001,8 +1000,7 @@ TEST(SpecEngine, SimThreadsInvariant)
                              "planner swarm\n"
                              "scheduler helix\n"
                              "scenario offline\n"
-                             "scenario churn node=0 at=0.5 online=0 "
-                             "repair=1\n";
+                             "scenario churn fail=0@0.5 online=0\n";
     auto serial_spec = io::experimentFromString(base);
     auto parallel_spec =
         io::experimentFromString("experiment v1\nsim-threads 4\n" +
