@@ -216,6 +216,61 @@ BM_FlowColdResolve(benchmark::State &state)
 }
 BENCHMARK(BM_FlowColdResolve)->Arg(256)->Arg(1000);
 
+/**
+ * A swarm placement of LLaMA-30B over gen:geo-distributed:<n>:1, the
+ * repo benchmark's geo-1k set-up at n = 1000: about 100 connections
+ * per node, so construction is dominated by the flow network's size.
+ */
+struct GeoBench
+{
+    std::optional<cluster::ClusterSpec> clus;
+    cluster::Profiler profiler{model::catalog::llama30b()};
+    placement::ModelPlacement placement;
+
+    explicit GeoBench(int n)
+    {
+        cluster::gen::GeneratorConfig config;
+        config.preset = "geo-distributed";
+        config.numNodes = n;
+        config.seed = 1;
+        clus = cluster::gen::generate(config);
+        placement::SwarmPlanner planner;
+        placement = planner.plan(*clus, profiler);
+    }
+};
+
+/** Placement-graph construction alone (no solve). */
+void
+BM_PlacementGraphBuild(benchmark::State &state)
+{
+    GeoBench bench(static_cast<int>(state.range(0)));
+    size_t edges = 0;
+    for (auto _ : state) {
+        placement::PlacementGraph graph(*bench.clus, bench.profiler,
+                                        bench.placement);
+        edges = graph.graph().numEdges();
+        benchmark::DoNotOptimize(edges);
+    }
+    state.counters["edges"] = static_cast<double>(edges);
+}
+BENCHMARK(BM_PlacementGraphBuild)->Arg(256)->Arg(1000);
+
+/** Scheduler Topology construction from a solved placement graph. */
+void
+BM_TopologyBuild(benchmark::State &state)
+{
+    GeoBench bench(static_cast<int>(state.range(0)));
+    placement::PlacementGraph graph(*bench.clus, bench.profiler,
+                                    bench.placement);
+    (void)graph.maxThroughput();
+    for (auto _ : state) {
+        scheduler::Topology topo(*bench.clus, bench.profiler,
+                                 bench.placement, graph);
+        benchmark::DoNotOptimize(topo.maxFlow());
+    }
+}
+BENCHMARK(BM_TopologyBuild)->Arg(1000);
+
 void
 BM_PlacementGraphEvaluate(benchmark::State &state)
 {

@@ -5,12 +5,55 @@
 namespace helix {
 namespace flow {
 
+FlowGraph::FlowGraph(const std::vector<EdgeId> &arc_counts)
+    : nodeCount(arc_counts.size())
+{
+    arcStart.resize(nodeCount + 1);
+    arcStart[0] = 0;
+    for (size_t v = 0; v < nodeCount; ++v)
+        arcStart[v + 1] = arcStart[v] + arc_counts[v];
+    arcs.resize(static_cast<size_t>(arcStart[nodeCount]));
+    edges.reserve(arcs.size());
+    fillCursor.assign(arcStart.begin(), arcStart.end() - 1);
+    adjacencyStale = !arcs.empty();
+}
+
 NodeId
 FlowGraph::addNode(std::string label)
 {
-    adjacency.emplace_back();
-    labels.push_back(std::move(label));
-    return static_cast<NodeId>(adjacency.size() - 1);
+    const auto id = static_cast<NodeId>(nodeCount++);
+    // A new vertex has no counted slots: later arcs come from a
+    // counting pass instead.
+    fillCursor.clear();
+    adjacencyStale = true;
+    if (!label.empty()) {
+        labels.resize(nodeCount);
+        labels[id] = std::move(label);
+    }
+    return id;
+}
+
+void
+FlowGraph::buildAdjacency() const
+{
+    // Counting sort of the edge ids by tail vertex. Filling in
+    // ascending id order gives every vertex its arcs in creation
+    // order, the order the solvers' arc scans depend on.
+    fillCursor.clear();
+    adjacencyStale = false;
+    arcStart.assign(nodeCount + 1, 0);
+    for (const Edge &e : edges)
+        ++arcStart[e.from + 1];
+    for (size_t v = 0; v < nodeCount; ++v)
+        arcStart[v + 1] += arcStart[v];
+    arcs.resize(edges.size());
+    // arcStart[v] serves as v's fill cursor, ending at v's end =
+    // (v + 1)'s start; shifting right by one restores the starts.
+    for (size_t id = 0; id < edges.size(); ++id)
+        arcs[arcStart[edges[id].from]++] = static_cast<EdgeId>(id);
+    for (size_t v = nodeCount; v > 0; --v)
+        arcStart[v] = arcStart[v - 1];
+    arcStart[0] = 0;
 }
 
 EdgeId
@@ -22,25 +65,48 @@ FlowGraph::addEdge(NodeId from, NodeId to, double capacity)
     EdgeId forward = static_cast<EdgeId>(edges.size());
     edges.push_back({from, to, capacity, capacity});
     edges.push_back({to, from, 0.0, 0.0});
-    adjacency[from].push_back(forward);
-    adjacency[to].push_back(forward + 1);
+    if (!fillCursor.empty() && fillArc(from, forward) &&
+        fillArc(to, forward + 1)) {
+        // A sized build's adjacency is complete once every counted
+        // slot is filled.
+        adjacencyStale = edges.size() != arcs.size();
+    } else {
+        // Unsized, or past the counted shape: the counting pass
+        // rebuilds every arc on demand.
+        fillCursor.clear();
+        adjacencyStale = true;
+    }
     if (capacity > capScale)
         capScale = capacity;
     return forward;
 }
 
-const std::vector<EdgeId> &
+bool
+FlowGraph::fillArc(NodeId tail, EdgeId id)
+{
+    if (fillCursor[tail] == arcStart[tail + 1])
+        return false;
+    arcs[fillCursor[tail]++] = id;
+    return true;
+}
+
+ArcSpan
 FlowGraph::outEdges(NodeId node) const
 {
     HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
-    return adjacency[node];
+    if (adjacencyStale)
+        buildAdjacency();
+    const EdgeId *base = arcs.data();
+    return {base + arcStart[node], base + arcStart[node + 1]};
 }
 
 const std::string &
 FlowGraph::nodeLabel(NodeId node) const
 {
     HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
-    return labels[node];
+    static const std::string kUnlabeled;
+    return static_cast<size_t>(node) < labels.size() ? labels[node]
+                                                      : kUnlabeled;
 }
 
 double

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/annotations.h"
+#include "util/span.h"
 
 namespace helix {
 namespace flow {
@@ -47,21 +48,47 @@ struct Edge
     double originalCapacity = 0.0;
 };
 
+/** The arcs (edge ids) leaving one vertex, in ascending id order. */
+using ArcSpan = Span<EdgeId>;
+
 /**
  * Residual flow network. Vertices are dense integer ids assigned by
  * addNode(); each addEdge() creates a forward edge and a zero-capacity
  * residual twin.
+ *
+ * Adjacency is one CSR array: the arcs of vertex v are
+ * arcs[arcStart[v], arcStart[v + 1]), ordered by ascending edge id,
+ * which is the order addEdge() created them in. A graph built with
+ * known arc counts (the sizing constructor) writes each arc straight
+ * into its slot; one built incrementally gets its adjacency from a
+ * counting pass over the edges on the first outEdges() call after an
+ * addEdge(). Either way a complete graph holds exactly
+ * 2 * numEdges() arcs and no per-vertex vectors. Finish adding edges
+ * before sharing a graph between threads.
  */
 class FlowGraph
 {
   public:
     FlowGraph() = default;
 
-    /** Create an isolated vertex and return its id. */
+    /**
+     * A graph of arc_counts.size() unlabeled vertices with exact
+     * storage for a known shape: vertex v will be the tail or head of
+     * arc_counts[v] edges. Each addEdge() then fills its two CSR slots
+     * directly, so the adjacency is complete, with no counting pass,
+     * once every counted edge has been added.
+     */
+    explicit FlowGraph(const std::vector<EdgeId> &arc_counts);
+
+    /**
+     * Create an isolated vertex and return its id. The optional
+     * label is for tests and diagnostics; unlabeled vertices (the
+     * placement graph's) store nothing.
+     */
     NodeId addNode(std::string label = "");
 
     /** Number of vertices. */
-    [[nodiscard]] size_t numNodes() const { return adjacency.size(); }
+    [[nodiscard]] size_t numNodes() const { return nodeCount; }
 
     /** Number of user-added (forward) edges. */
     [[nodiscard]] size_t numEdges() const { return edges.size() / 2; }
@@ -77,10 +104,12 @@ class FlowGraph
     [[nodiscard]] const Edge &edge(EdgeId id) const { return edges[id]; }
     Edge &edge(EdgeId id) { return edges[id]; }
 
-    /** Ids of all edges (forward and residual) leaving @p node. */
-    [[nodiscard]] const std::vector<EdgeId> &outEdges(NodeId node) const;
+    /** Ids of all edges (forward and residual) leaving @p node, in
+     *  ascending id order. Valid until the graph next gains a vertex
+     *  or an edge. */
+    [[nodiscard]] ArcSpan outEdges(NodeId node) const;
 
-    /** Human-readable label attached to @p node. */
+    /** Label attached to @p node by addNode() (empty if none). */
     [[nodiscard]] const std::string &nodeLabel(NodeId node) const;
 
     /**
@@ -134,10 +163,26 @@ class FlowGraph
     std::vector<EdgeId> &dirtyEdges() { return dirty; }
 
   private:
+    /** Rebuild the CSR adjacency from `edges` by counting sort. */
+    void buildAdjacency() const;
+
+    /** Write arc @p id into @p tail's next counted slot; false when
+     *  the tail has none left. */
+    bool fillArc(NodeId tail, EdgeId id);
+
     std::vector<Edge> edges;
-    std::vector<std::vector<EdgeId>> adjacency;
+    /** CSR adjacency over `edges`, rebuilt on demand while stale. */
+    mutable std::vector<EdgeId> arcStart;
+    mutable std::vector<EdgeId> arcs;
+    mutable bool adjacencyStale = true;
+    /** Next free slot per vertex while a sized build fills `arcs`;
+     *  empty otherwise. */
+    mutable std::vector<EdgeId> fillCursor;
+    /** Labels of vertices [0, labels.size()); only as long as the
+     *  last labeled vertex. */
     std::vector<std::string> labels;
     std::vector<EdgeId> dirty;
+    size_t nodeCount = 0;
     double capScale = 0.0;
 };
 

@@ -1,6 +1,7 @@
 #include "flow/max_flow.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "util/logging.h"
@@ -594,6 +595,10 @@ decomposeFlow(const FlowGraph &graph, NodeId source, NodeId sink)
     // capacities with small compute capacities.
     const double tol = scaleTolerance(graph);
 
+    // visitedIn[v] == walk marks v as visited by the current walk:
+    // one stamp array for all walks instead of a fresh bitmap each.
+    std::vector<uint32_t> visitedIn(graph.numNodes(), 0);
+    uint32_t walk = 0;
     std::vector<FlowPath> paths;
     for (;;) {
         // Follow the thickest positive-flow forward edge from the
@@ -602,8 +607,8 @@ decomposeFlow(const FlowGraph &graph, NodeId source, NodeId sink)
         std::vector<NodeId> path_nodes{source};
         std::vector<EdgeId> path_edges;
         NodeId at = source;
-        std::vector<bool> visited(graph.numNodes(), false);
-        visited[source] = true;
+        ++walk;
+        visitedIn[source] = walk;
         bool reached_sink = false;
         bool hit_cycle = false;
         while (true) {
@@ -625,11 +630,11 @@ decomposeFlow(const FlowGraph &graph, NodeId source, NodeId sink)
                 reached_sink = true;
                 break;
             }
-            if (visited[at]) {
+            if (visitedIn[at] == walk) {
                 hit_cycle = true;
                 break;
             }
-            visited[at] = true;
+            visitedIn[at] = walk;
         }
         if (path_edges.empty())
             break;

@@ -81,98 +81,127 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
                                const cluster::Profiler &profiler,
                                const ModelPlacement &placement,
                                GraphBuildOptions options)
-    : clusterRef(cluster), placementCopy(placement)
 {
     const int n = cluster.numNodes();
     const int num_layers = profiler.modelSpec().numLayers;
-    side = n + 1;
-    connRows.resize(side);
+    HELIX_ASSERT(static_cast<int>(placement.size()) == n);
 
-    src = net.addNode("source");
-    dst = net.addNode("sink");
-    inV.assign(n, flow::kInvalidNode);
-    outV.assign(n, flow::kInvalidNode);
-    compEdge.assign(n, flow::kInvalidEdge);
+    // Rank the layer-holding nodes; each rank owns one vertex pair.
+    nodeRank.assign(n, -1);
+    int layer_span = num_layers;
     for (int i = 0; i < n; ++i) {
         const NodePlacement &p = placement[i];
         if (p.count == 0)
             continue;
-        inV[i] = net.addNode(cluster.node(i).name + ".in");
-        outV[i] = net.addNode(cluster.node(i).name + ".out");
-        double throughput =
-            profiler.decodeThroughput(cluster.node(i), p.count);
-        compEdge[i] = net.addEdge(inV[i], outV[i], throughput);
-    }
-    constexpr int kNoEndpoint = cluster::kCoordinator - 1;
-    vertexEndpoint.assign(net.numNodes(), kNoEndpoint);
-    vertexIsIn.assign(net.numNodes(), false);
-    vertexEndpoint[src] = cluster::kCoordinator;
-    vertexEndpoint[dst] = cluster::kCoordinator;
-    for (int i = 0; i < n; ++i) {
-        if (inV[i] == flow::kInvalidNode)
-            continue;
-        vertexEndpoint[inV[i]] = i;
-        vertexEndpoint[outV[i]] = i;
-        vertexIsIn[inV[i]] = true;
+        HELIX_ASSERT(p.start >= 0 && p.count > 0);
+        nodeRank[i] = static_cast<int>(rankNode.size());
+        rankNode.push_back(i);
+        layer_span = std::max(layer_span, p.end());
     }
 
-    auto addConnection = [&](int from, int to, double capacity) {
-        flow::NodeId a = (from == cluster::kCoordinator) ? src
-                                                         : outV[from];
-        flow::NodeId b = (to == cluster::kCoordinator) ? dst : inV[to];
-        // Rows fill in ascending `to` order: the coordinator link
-        // (kCoordinator) comes first, then nodes in index order.
-        std::vector<Connection> &row = connRows[from + 1];
-        HELIX_ASSERT(row.empty() || row.back().to < to);
-        row.push_back({to, net.addEdge(a, b, capacity)});
+    // Successor buckets (criterion 3, connectionValid): bucket l
+    // lists, in ascending node order, the nodes a request can
+    // continue on after layer l - 1 — every node holding layer l with
+    // partial inference, otherwise every node starting at l. No node
+    // is in the bucket of its own end, and bucket layer_span stays
+    // empty. One flat array, filled by a counting pass.
+    const bool partial = options.allowPartialInference;
+    auto bucketsEnd = [&](const NodePlacement &p) {
+        return partial ? p.end() : p.start + 1;
+    };
+    std::vector<int> bucketStart(layer_span + 2, 0);
+    for (int i : rankNode) {
+        for (int l = placement[i].start; l < bucketsEnd(placement[i]); ++l)
+            ++bucketStart[l + 1];
+    }
+    for (int l = 0; l <= layer_span; ++l)
+        bucketStart[l + 1] += bucketStart[l];
+    std::vector<int> bucketNodes(bucketStart.back());
+    std::vector<int> cursor(bucketStart.begin(), bucketStart.end() - 1);
+    for (int i : rankNode) {
+        for (int l = placement[i].start; l < bucketsEnd(placement[i]); ++l)
+            bucketNodes[cursor[l]++] = i;
+    }
+    auto forEachSuccessor = [&](int i, auto &&visit) {
+        const int e = placement[i].end();
+        for (int k = bucketStart[e]; k < bucketStart[e + 1]; ++k) {
+            const int j = bucketNodes[k];
+            if (!options.filter || options.filter->allowed(i, j))
+                visit(j);
+        }
     };
 
+    // Every edge of the network in id order: the compute edges, then
+    // per node its coordinator links and successor connections. One
+    // run counts each vertex's arcs so the network is stored at exact
+    // size; the second adds the edges, evaluating capacities.
     const double act_bytes = profiler.activationBytes();
     const double tok_bytes = profiler.tokenBytes();
-
-    for (int i = 0; i < n; ++i) {
-        const NodePlacement &p = placement[i];
-        if (p.count == 0)
-            continue;
-        // Criterion 1: coordinator -> node holding the first layer.
-        if (p.start == 0) {
-            double cap = profiler.linkTokensPerSecond(
-                cluster.link(cluster::kCoordinator, i), tok_bytes);
-            addConnection(cluster::kCoordinator, i, cap);
+    auto forEachEdge = [&](auto &&edge) {
+        for (int i : rankNode) {
+            edge(inVertex(i), outVertex(i), [&] {
+                return profiler.decodeThroughput(cluster.node(i),
+                                                 placement[i].count);
+            });
         }
-        // Criterion 2: node holding the last layer -> coordinator.
-        if (p.end() == num_layers) {
-            double cap = profiler.linkTokensPerSecond(
-                cluster.link(i, cluster::kCoordinator), tok_bytes);
-            addConnection(i, cluster::kCoordinator, cap);
-        }
-        // Criterion 3: node -> node holding the next needed layer.
-        for (int j = 0; j < n; ++j) {
-            if (j == i || placement[j].count == 0)
-                continue;
-            if (options.filter && !options.filter->allowed(i, j))
-                continue;
-            if (connectionValid(p, placement[j],
-                                options.allowPartialInference)) {
-                double cap = profiler.linkTokensPerSecond(
-                    cluster.link(i, j), act_bytes);
-                addConnection(i, j, cap);
+        for (int i : rankNode) {
+            const NodePlacement &p = placement[i];
+            // Criterion 1: coordinator -> node holding the first layer.
+            if (p.start == 0) {
+                edge(kSourceVertex, inVertex(i), [&] {
+                    return profiler.linkTokensPerSecond(
+                        cluster.link(cluster::kCoordinator, i), tok_bytes);
+                });
             }
+            // Criterion 2: node holding the last layer -> coordinator.
+            if (p.end() == num_layers) {
+                edge(outVertex(i), kSinkVertex, [&] {
+                    return profiler.linkTokensPerSecond(
+                        cluster.link(i, cluster::kCoordinator), tok_bytes);
+                });
+            }
+            // Criterion 3: node -> node holding the next needed layer.
+            forEachSuccessor(i, [&](int j) {
+                edge(outVertex(i), inVertex(j), [&] {
+                    return profiler.linkTokensPerSecond(cluster.link(i, j),
+                                                        act_bytes);
+                });
+            });
         }
-    }
+    };
+    std::vector<flow::EdgeId> arc_counts(2 + 2 * rankNode.size(), 0);
+    forEachEdge([&](flow::NodeId from, flow::NodeId to, auto &&) {
+        ++arc_counts[from];
+        ++arc_counts[to];
+    });
+    net = flow::FlowGraph(arc_counts);
+    forEachEdge([&](flow::NodeId from, flow::NodeId to, auto &&capacity) {
+        (void)net.addEdge(from, to, capacity());
+    });
 }
 
 flow::EdgeId
 PlacementGraph::connectionEdge(int from, int to) const
 {
-    HELIX_ASSERT(from >= cluster::kCoordinator && from < side - 1);
-    HELIX_ASSERT(to >= cluster::kCoordinator && to < side - 1);
-    const std::vector<Connection> &row = connRows[from + 1];
-    auto it = std::lower_bound(
-        row.begin(), row.end(), to,
-        [](const Connection &c, int key) { return c.to < key; });
-    return (it != row.end() && it->to == to) ? it->edge
-                                             : flow::kInvalidEdge;
+    HELIX_ASSERT(to >= cluster::kCoordinator && to < numNodes());
+    const flow::NodeId tail = tailVertex(from);
+    const flow::NodeId head =
+        to == cluster::kCoordinator ? kSinkVertex : inVertex(to);
+    if (tail == flow::kInvalidNode || head == flow::kInvalidNode)
+        return flow::kInvalidEdge;
+    // The tail's forward arcs ascend by head vertex; an out-vertex's
+    // arcs open with its compute edge's residual twin.
+    const flow::ArcSpan arcs = net.outEdges(tail);
+    const flow::EdgeId *first = arcs.begin();
+    if (tail != kSourceVertex)
+        ++first;
+    const flow::EdgeId *it = std::lower_bound(
+        first, arcs.end(), head, [&](flow::EdgeId id, flow::NodeId key) {
+            return net.edge(id).to < key;
+        });
+    return (it != arcs.end() && net.edge(*it).to == head)
+               ? *it
+               : flow::kInvalidEdge;
 }
 
 double
@@ -181,11 +210,11 @@ PlacementGraph::maxThroughput()
     if (!cachedFlow) {
         flow::PreflowPush solver(net);
         // Value is read back via netOutflow below; see comment.
-        (void)solver.solve(src, dst);
+        (void)solver.solve(kSourceVertex, kSinkVertex);
         // Report the value via the same accumulation repairFlow()
         // uses, so a repaired run and a cold run of the same network
         // log bit-identical flow values.
-        cachedFlow = net.netOutflow(src);
+        cachedFlow = net.netOutflow(kSourceVertex);
     }
     return *cachedFlow;
 }
@@ -194,33 +223,33 @@ double
 PlacementGraph::repairFlow()
 {
     flow::PreflowPush solver(net);
-    cachedFlow = solver.repair(src, dst);
+    cachedFlow = solver.repair(kSourceVertex, kSinkVertex);
     return *cachedFlow;
 }
 
 void
 PlacementGraph::setComputeCapacity(int node, double capacity)
 {
-    HELIX_ASSERT(node >= 0 && node < side - 1);
-    HELIX_ASSERT(compEdge[node] != flow::kInvalidEdge);
-    net.setEdgeCapacity(compEdge[node], capacity);
+    const flow::EdgeId edge = computeEdge(node);
+    HELIX_ASSERT(edge != flow::kInvalidEdge);
+    net.setEdgeCapacity(edge, capacity);
 }
 
 flow::EdgeId
 PlacementGraph::computeEdge(int node) const
 {
-    HELIX_ASSERT(node >= 0 && node < side - 1);
-    return compEdge[node];
+    HELIX_ASSERT(node >= 0 && node < numNodes());
+    return nodeRank[node] < 0 ? flow::kInvalidEdge : 2 * nodeRank[node];
 }
 
 double
 PlacementGraph::nodeFlow(int node) const
 {
-    HELIX_ASSERT(node >= 0 && node < side - 1);
-    if (compEdge[node] == flow::kInvalidEdge)
+    const flow::EdgeId edge = computeEdge(node);
+    if (edge == flow::kInvalidEdge)
         return 0.0;
     HELIX_ASSERT(cachedFlow.has_value());
-    return net.flowOn(compEdge[node]);
+    return net.flowOn(edge);
 }
 
 bool
@@ -243,14 +272,18 @@ std::vector<PlacementGraph::ConnectionInfo>
 PlacementGraph::connections() const
 {
     std::vector<ConnectionInfo> result;
-    for (int from = cluster::kCoordinator; from < side - 1; ++from) {
-        for (const Connection &conn : connRows[from + 1]) {
-            ConnectionInfo info;
-            info.from = from;
-            info.to = conn.to;
-            info.capacity = net.edge(conn.edge).originalCapacity;
-            info.flow = cachedFlow ? net.flowOn(conn.edge) : 0.0;
-            result.push_back(info);
+    result.reserve(numConnections());
+    for (int from = cluster::kCoordinator; from < numNodes(); ++from) {
+        const flow::NodeId tail = tailVertex(from);
+        if (tail == flow::kInvalidNode)
+            continue;
+        for (flow::EdgeId id : net.outEdges(tail)) {
+            if ((id & 1) != 0)
+                continue;
+            const flow::Edge &e = net.edge(id);
+            result.push_back({from, clusterEndpoint(e.to),
+                              e.originalCapacity,
+                              cachedFlow ? net.flowOn(id) : 0.0});
         }
     }
     return result;
@@ -259,33 +292,37 @@ PlacementGraph::connections() const
 flow::NodeId
 PlacementGraph::inVertex(int node) const
 {
-    HELIX_ASSERT(node >= 0 && node < side - 1);
-    return inV[node];
+    HELIX_ASSERT(node >= 0 && node < numNodes());
+    return nodeRank[node] < 0 ? flow::kInvalidNode : 2 + 2 * nodeRank[node];
 }
 
 flow::NodeId
 PlacementGraph::outVertex(int node) const
 {
-    HELIX_ASSERT(node >= 0 && node < side - 1);
-    return outV[node];
+    HELIX_ASSERT(node >= 0 && node < numNodes());
+    return nodeRank[node] < 0 ? flow::kInvalidNode : 3 + 2 * nodeRank[node];
+}
+
+flow::NodeId
+PlacementGraph::tailVertex(int endpoint) const
+{
+    return endpoint == cluster::kCoordinator ? kSourceVertex
+                                             : outVertex(endpoint);
 }
 
 int
 PlacementGraph::clusterEndpoint(flow::NodeId vertex) const
 {
-    if (vertex < 0 ||
-        static_cast<size_t>(vertex) >= vertexEndpoint.size() ||
-        vertexEndpoint[vertex] < cluster::kCoordinator)
+    if (vertex < 0 || static_cast<size_t>(vertex) >= net.numNodes())
         HELIX_PANIC("unknown flow vertex %d", vertex);
-    return vertexEndpoint[vertex];
+    return vertex < 2 ? cluster::kCoordinator : rankNode[(vertex - 2) / 2];
 }
 
 bool
 PlacementGraph::isInVertex(flow::NodeId vertex) const
 {
-    return vertex >= 0 &&
-           static_cast<size_t>(vertex) < vertexIsIn.size() &&
-           vertexIsIn[vertex];
+    return vertex >= 2 && static_cast<size_t>(vertex) < net.numNodes() &&
+           vertex % 2 == 0;
 }
 
 double

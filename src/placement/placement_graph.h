@@ -80,6 +80,15 @@ struct GraphBuildOptions
 /**
  * The flow network for one (cluster, placement) pair, with helpers to
  * run max-flow and read per-connection flow values.
+ *
+ * Vertex layout: 0 is the source and 1 the sink (both the
+ * coordinator); the k-th layer-holding node, in node-index order,
+ * owns in-vertex 2 + 2k and out-vertex 3 + 2k, joined by its compute
+ * edge, forward edge 2k. Connection edges follow in (source node,
+ * target) order, so every out-vertex's forward arcs ascend by target
+ * vertex behind its compute edge's residual twin. The graph keeps no
+ * copy of the cluster or placement and no per-connection index: the
+ * flow network's CSR adjacency is the connection table.
  */
 class PlacementGraph
 {
@@ -134,8 +143,16 @@ class PlacementGraph
     /** Whether a connection edge exists between the endpoints. */
     [[nodiscard]] bool hasConnection(int from, int to) const;
 
-    /** All existing directed connections with their flows.
-     *  Requires maxThroughput() first. */
+    /** Number of directed connections (every edge but the compute
+     *  edges). */
+    [[nodiscard]] size_t numConnections() const
+    {
+        return net.numEdges() - rankNode.size();
+    }
+
+    /** All existing directed connections with their flows, ordered by
+     *  source endpoint (coordinator first), then target (coordinator
+     *  first). Flows read 0 before maxThroughput(). */
     struct ConnectionInfo
     {
         int from = 0; // cluster::kCoordinator or node index
@@ -148,12 +165,27 @@ class PlacementGraph
     /** The underlying flow network (for tests and diagnostics). */
     [[nodiscard]] const flow::FlowGraph &graph() const { return net; }
 
-    [[nodiscard]] flow::NodeId source() const { return src; }
-    [[nodiscard]] flow::NodeId sink() const { return dst; }
+    [[nodiscard]] flow::NodeId source() const { return kSourceVertex; }
+    [[nodiscard]] flow::NodeId sink() const { return kSinkVertex; }
 
-    /** in/out vertex of a compute node in the flow network. */
+    /** Number of compute nodes of the cluster the graph was built
+     *  for (layer-holding or not). */
+    [[nodiscard]] int numNodes() const
+    {
+        return static_cast<int>(nodeRank.size());
+    }
+
+    /** in/out vertex of a compute node in the flow network, or
+     *  flow::kInvalidNode when the node holds no layers. */
     [[nodiscard]] flow::NodeId inVertex(int node) const;
     [[nodiscard]] flow::NodeId outVertex(int node) const;
+
+    /**
+     * Vertex whose forward arcs are @p endpoint's outgoing
+     * connections: the source for cluster::kCoordinator, otherwise
+     * the node's out-vertex (kInvalidNode when it holds no layers).
+     */
+    [[nodiscard]] flow::NodeId tailVertex(int endpoint) const;
 
     /**
      * Map a flow-network vertex back to its cluster endpoint:
@@ -166,29 +198,14 @@ class PlacementGraph
     [[nodiscard]] bool isInVertex(flow::NodeId vertex) const;
 
   private:
-    const cluster::ClusterSpec &clusterRef;
-    const ModelPlacement placementCopy;
+    static constexpr flow::NodeId kSourceVertex = 0;
+    static constexpr flow::NodeId kSinkVertex = 1;
+
     flow::FlowGraph net;
-    flow::NodeId src = flow::kInvalidNode;
-    flow::NodeId dst = flow::kInvalidNode;
-    std::vector<flow::NodeId> inV;
-    std::vector<flow::NodeId> outV;
-    /** Compute edge (in -> out) per node; kInvalidEdge if no layers. */
-    std::vector<flow::EdgeId> compEdge;
-    /** One directed connection leaving a row's source endpoint. */
-    struct Connection
-    {
-        int to = 0;
-        flow::EdgeId edge = flow::kInvalidEdge;
-    };
-    /** Connections per source endpoint (index from + 1, row 0 = the
-     *  coordinator), sorted by `to`: O(edges), not O(endpoints^2). */
-    std::vector<std::vector<Connection>> connRows;
-    /** Cluster endpoint of each flow vertex (kCoordinator for source
-     *  and sink), and whether the vertex is an in-vertex. */
-    std::vector<int> vertexEndpoint;
-    std::vector<bool> vertexIsIn;
-    int side = 0;
+    /** Rank of each node among the layer-holding nodes; -1 if none. */
+    std::vector<int> nodeRank;
+    /** Node index of each rank (inverse of nodeRank). */
+    std::vector<int> rankNode;
     std::optional<double> cachedFlow;
 
     /** Edge of the (from, to) connection, or kInvalidEdge. */

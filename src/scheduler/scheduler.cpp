@@ -53,20 +53,37 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
                             : 0.0;
     }
 
-    edges.assign(n + 1, {});
-    for (const auto &conn : graph.connections()) {
-        int from_vertex = conn.from + 1; // kCoordinator (-1) -> 0
-        int to = (conn.to == cluster::kCoordinator) ? kSink : conn.to;
-        edges[from_vertex].push_back({to, conn.flow, conn.capacity});
+    HELIX_ASSERT(graph.numNodes() == n);
+    const flow::FlowGraph &net = graph.graph();
+    arcs.reserve(graph.numConnections());
+    rowStart.reserve(static_cast<size_t>(n) + 2);
+    rowStart.push_back(0);
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        const flow::NodeId tail = graph.tailVertex(from);
+        if (tail != flow::kInvalidNode) {
+            // The tail's forward arcs are its connections, in target
+            // order; odd arcs are residual twins.
+            for (flow::EdgeId id : net.outEdges(tail)) {
+                if ((id & 1) != 0)
+                    continue;
+                const flow::Edge &e = net.edge(id);
+                const int to = e.to == graph.sink()
+                                   ? kSink
+                                   : graph.clusterEndpoint(e.to);
+                arcs.push_back({to, net.flowOn(id), e.originalCapacity});
+            }
+        }
+        rowStart.push_back(arcs.size());
     }
 }
 
-const std::vector<Topology::OutEdge> &
+Span<Topology::OutEdge>
 Topology::outEdges(int vertex) const
 {
     HELIX_ASSERT(vertex >= cluster::kCoordinator &&
                  vertex < numNodes());
-    return edges[vertex + 1];
+    const OutEdge *base = arcs.data();
+    return {base + rowStart[vertex + 1], base + rowStart[vertex + 2]};
 }
 
 const placement::NodePlacement &
@@ -205,7 +222,7 @@ HelixScheduler::tryWalk(const trace::Request &request,
         IwrrScheduler &selector = iwrr[vertex + 1];
         // Mask candidates that are the sink or whose KV admission
         // fails for this request's stage there.
-        std::vector<bool> masked(selector.size(), false);
+        masked.assign(selector.size(), false);
         bool any = false;
         for (size_t c = 0; c < selector.size(); ++c) {
             const auto &edge = out[selector.candidates()[c]];

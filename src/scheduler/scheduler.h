@@ -25,6 +25,7 @@
 #include "scheduler/iwrr.h"
 #include "trace/trace.h"
 #include "util/random.h"
+#include "util/span.h"
 
 namespace helix {
 namespace scheduler {
@@ -85,7 +86,9 @@ class SchedulerContext
 /**
  * Topology shared by the graph-walking schedulers: the valid
  * connections of a placement with their max-flow values, plus the
- * per-node KV figures needed for admission control.
+ * per-node KV figures needed for admission control. The connections
+ * are read straight from the placement graph's flow network into one
+ * flat array of exact size.
  */
 class Topology
 {
@@ -109,8 +112,9 @@ class Topology
 
     static constexpr int kSink = -2;
 
-    /** Outgoing valid connections of a vertex (kCoordinator or node). */
-    [[nodiscard]] const std::vector<OutEdge> &outEdges(int vertex) const;
+    /** Outgoing valid connections of a vertex (kCoordinator or node),
+     *  ordered by target with kSink first. */
+    [[nodiscard]] Span<OutEdge> outEdges(int vertex) const;
 
     /** Layer interval held by @p node. */
     [[nodiscard]] const placement::NodePlacement &nodePlacement(int node) const;
@@ -131,7 +135,10 @@ class Topology
     [[nodiscard]] double maxFlow() const { return flowValue; }
 
   private:
-    std::vector<std::vector<OutEdge>> edges; // [node + 1]; 0 = coord
+    /** Out-edges of every vertex: vertex v's (v = node + 1, 0 = the
+     *  coordinator) are arcs[rowStart[v], rowStart[v + 1]). */
+    std::vector<OutEdge> arcs;
+    std::vector<size_t> rowStart;
     std::vector<placement::NodePlacement> placements;
     std::vector<double> kvCapacity;
     double kvPerTokenLayer = 0.0;
@@ -315,6 +322,9 @@ class HelixScheduler : public RequestScheduler
     SchedulerConfig cfg;
     KvEstimator kv;
     std::vector<IwrrScheduler> iwrr; // [vertex + 1]; 0 = coordinator
+    /** tryWalk's per-hop candidate mask, reused across hops and
+     *  calls instead of allocated per hop. */
+    std::vector<bool> masked;
 };
 
 /** How the baseline graph-walkers choose the next hop. */

@@ -144,11 +144,11 @@ class StubContext : public SchedulerContext
 TEST_F(SchedulerFixture, TopologyEdgesMatchValidConnections)
 {
     // Coordinator reaches both entry nodes; entries reach both tails.
-    auto &coord_out = topo->outEdges(cluster::kCoordinator);
+    auto coord_out = topo->outEdges(cluster::kCoordinator);
     EXPECT_EQ(coord_out.size(), 2u);
-    auto &n0_out = topo->outEdges(0);
+    auto n0_out = topo->outEdges(0);
     EXPECT_EQ(n0_out.size(), 2u); // nodes 1 and 3 hold [6,12)
-    auto &n1_out = topo->outEdges(1);
+    auto n1_out = topo->outEdges(1);
     ASSERT_EQ(n1_out.size(), 1u);
     EXPECT_EQ(n1_out[0].to, Topology::kSink);
     EXPECT_GT(topo->maxFlow(), 0.0);
