@@ -83,11 +83,11 @@ BM_Dinic(benchmark::State &state)
 BENCHMARK(BM_Dinic)->Arg(16)->Arg(64)->Arg(256)->UseManualTime();
 
 /**
- * Shared setup for the churn-event benchmarks: a placement graph over
- * a generated long-tail cluster plus the compute edge of one flapping
- * node. Measures TopologyManager's reaction to a churn event at
- * scale (incremental repair) against the from-scratch re-solve it
- * replaced.
+ * Shared setup for the churn-event and construction benchmarks: a
+ * swarm placement of LLaMA-30B over a generated cluster (long-tail by
+ * default) plus the compute edge of one flapping node. Measures
+ * TopologyManager's reaction to a churn event at scale (incremental
+ * repair) against the from-scratch re-solve it replaced.
  */
 struct FlapBench
 {
@@ -97,12 +97,13 @@ struct FlapBench
     int node = -1;
     double profiled = 0.0;
 
-    explicit FlapBench(int n)
+    explicit FlapBench(int n, const char *preset = "long-tail-heterogeneous",
+                       uint64_t seed = 42)
     {
         cluster::gen::GeneratorConfig config;
-        config.preset = "long-tail-heterogeneous";
+        config.preset = preset;
         config.numNodes = n;
-        config.seed = 42;
+        config.seed = seed;
         clus = cluster::gen::generate(config);
         placement::SwarmPlanner planner;
         placement = planner.plan(*clus, profiler);
@@ -120,7 +121,7 @@ struct FlapBench
             flow::EdgeId comp = graph.computeEdge(i);
             if (comp == flow::kInvalidEdge)
                 continue;
-            double cap = graph.graph().edge(comp).originalCapacity;
+            double cap = graph.graph().originalCapacity(comp);
             if (node < 0 || cap < profiled) {
                 node = i;
                 profiled = cap;
@@ -217,33 +218,15 @@ BM_FlowColdResolve(benchmark::State &state)
 BENCHMARK(BM_FlowColdResolve)->Arg(256)->Arg(1000);
 
 /**
- * A swarm placement of LLaMA-30B over gen:geo-distributed:<n>:1, the
- * repo benchmark's geo-1k set-up at n = 1000: about 100 connections
- * per node, so construction is dominated by the flow network's size.
+ * Placement-graph construction alone (no solve) on
+ * gen:geo-distributed:<n>:1, the repo benchmark's geo-1k set-up at
+ * n = 1000: about 100 connections per node, so construction is
+ * dominated by the flow network's size.
  */
-struct GeoBench
-{
-    std::optional<cluster::ClusterSpec> clus;
-    cluster::Profiler profiler{model::catalog::llama30b()};
-    placement::ModelPlacement placement;
-
-    explicit GeoBench(int n)
-    {
-        cluster::gen::GeneratorConfig config;
-        config.preset = "geo-distributed";
-        config.numNodes = n;
-        config.seed = 1;
-        clus = cluster::gen::generate(config);
-        placement::SwarmPlanner planner;
-        placement = planner.plan(*clus, profiler);
-    }
-};
-
-/** Placement-graph construction alone (no solve). */
 void
 BM_PlacementGraphBuild(benchmark::State &state)
 {
-    GeoBench bench(static_cast<int>(state.range(0)));
+    FlapBench bench(static_cast<int>(state.range(0)), "geo-distributed", 1);
     size_t edges = 0;
     for (auto _ : state) {
         placement::PlacementGraph graph(*bench.clus, bench.profiler,
@@ -255,11 +238,12 @@ BM_PlacementGraphBuild(benchmark::State &state)
 }
 BENCHMARK(BM_PlacementGraphBuild)->Arg(256)->Arg(1000);
 
-/** Scheduler Topology construction from a solved placement graph. */
+/** Scheduler Topology construction from a solved placement graph,
+ *  on the same geo-distributed set-up. */
 void
 BM_TopologyBuild(benchmark::State &state)
 {
-    GeoBench bench(static_cast<int>(state.range(0)));
+    FlapBench bench(static_cast<int>(state.range(0)), "geo-distributed", 1);
     placement::PlacementGraph graph(*bench.clus, bench.profiler,
                                     bench.placement);
     (void)graph.maxThroughput();

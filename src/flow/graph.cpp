@@ -5,55 +5,17 @@
 namespace helix {
 namespace flow {
 
-FlowGraph::FlowGraph(const std::vector<EdgeId> &arc_counts)
-    : nodeCount(arc_counts.size())
-{
-    arcStart.resize(nodeCount + 1);
-    arcStart[0] = 0;
-    for (size_t v = 0; v < nodeCount; ++v)
-        arcStart[v + 1] = arcStart[v] + arc_counts[v];
-    arcs.resize(static_cast<size_t>(arcStart[nodeCount]));
-    edges.reserve(arcs.size());
-    fillCursor.assign(arcStart.begin(), arcStart.end() - 1);
-    adjacencyStale = !arcs.empty();
-}
-
 NodeId
 FlowGraph::addNode(std::string label)
 {
-    const auto id = static_cast<NodeId>(nodeCount++);
-    // A new vertex has no counted slots: later arcs come from a
-    // counting pass instead.
-    fillCursor.clear();
+    const auto id = static_cast<NodeId>(degree.size());
+    degree.push_back(0);
     adjacencyStale = true;
     if (!label.empty()) {
-        labels.resize(nodeCount);
+        labels.resize(degree.size());
         labels[id] = std::move(label);
     }
     return id;
-}
-
-void
-FlowGraph::buildAdjacency() const
-{
-    // Counting sort of the edge ids by tail vertex. Filling in
-    // ascending id order gives every vertex its arcs in creation
-    // order, the order the solvers' arc scans depend on.
-    fillCursor.clear();
-    adjacencyStale = false;
-    arcStart.assign(nodeCount + 1, 0);
-    for (const Edge &e : edges)
-        ++arcStart[e.from + 1];
-    for (size_t v = 0; v < nodeCount; ++v)
-        arcStart[v + 1] += arcStart[v];
-    arcs.resize(edges.size());
-    // arcStart[v] serves as v's fill cursor, ending at v's end =
-    // (v + 1)'s start; shifting right by one restores the starts.
-    for (size_t id = 0; id < edges.size(); ++id)
-        arcs[arcStart[edges[id].from]++] = static_cast<EdgeId>(id);
-    for (size_t v = nodeCount; v > 0; --v)
-        arcStart[v] = arcStart[v - 1];
-    arcStart[0] = 0;
 }
 
 EdgeId
@@ -62,40 +24,48 @@ FlowGraph::addEdge(NodeId from, NodeId to, double capacity)
     HELIX_ASSERT(from >= 0 && static_cast<size_t>(from) < numNodes());
     HELIX_ASSERT(to >= 0 && static_cast<size_t>(to) < numNodes());
     HELIX_ASSERT(capacity >= 0.0);
-    EdgeId forward = static_cast<EdgeId>(edges.size());
-    edges.push_back({from, to, capacity, capacity});
-    edges.push_back({to, from, 0.0, 0.0});
-    if (!fillCursor.empty() && fillArc(from, forward) &&
-        fillArc(to, forward + 1)) {
-        // A sized build's adjacency is complete once every counted
-        // slot is filled.
-        adjacencyStale = edges.size() != arcs.size();
-    } else {
-        // Unsized, or past the counted shape: the counting pass
-        // rebuilds every arc on demand.
-        fillCursor.clear();
-        adjacencyStale = true;
-    }
+    const auto forward = static_cast<EdgeId>(2 * pairs.size());
+    pairs.push_back({{from, to}, {capacity, 0.0}, capacity});
+    ++degree[from];
+    ++degree[to];
+    adjacencyStale = true;
     if (capacity > capScale)
         capScale = capacity;
     return forward;
 }
 
-bool
-FlowGraph::fillArc(NodeId tail, EdgeId id)
+void
+FlowGraph::finish()
 {
-    if (fillCursor[tail] == arcStart[tail + 1])
-        return false;
-    arcs[fillCursor[tail]++] = id;
-    return true;
+    if (!adjacencyStale)
+        return;
+    adjacencyStale = false;
+    // Counting sort of the edge ids by tail vertex. Filling in
+    // ascending id order gives every vertex its arcs in creation
+    // order, the order the solvers' arc scans depend on.
+    const size_t n = numNodes();
+    arcStart.resize(n + 1);
+    arcStart[0] = 0;
+    for (size_t v = 0; v < n; ++v)
+        arcStart[v + 1] = arcStart[v] + degree[v];
+    arcs.resize(2 * numEdges());
+    // arcStart[v] serves as v's fill cursor, ending at v's end =
+    // (v + 1)'s start; shifting right by one restores the starts.
+    for (size_t k = 0; k < numEdges(); ++k) {
+        const auto id = static_cast<EdgeId>(2 * k);
+        arcs[arcStart[pairs[k].ends[0]]++] = id;
+        arcs[arcStart[pairs[k].ends[1]]++] = id + 1;
+    }
+    for (size_t v = n; v > 0; --v)
+        arcStart[v] = arcStart[v - 1];
+    arcStart[0] = 0;
 }
 
 ArcSpan
 FlowGraph::outEdges(NodeId node) const
 {
     HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
-    if (adjacencyStale)
-        buildAdjacency();
+    HELIX_ASSERT(!adjacencyStale);
     const EdgeId *base = arcs.data();
     return {base + arcStart[node], base + arcStart[node + 1]};
 }
@@ -109,27 +79,18 @@ FlowGraph::nodeLabel(NodeId node) const
                                                       : kUnlabeled;
 }
 
-double
-FlowGraph::flowOn(EdgeId forward_edge) const
-{
-    HELIX_ASSERT(forward_edge >= 0 &&
-                 static_cast<size_t>(forward_edge) < edges.size());
-    HELIX_ASSERT((forward_edge & 1) == 0);
-    const Edge &e = edges[forward_edge];
-    return e.originalCapacity - e.capacity;
-}
-
 void
 FlowGraph::setEdgeCapacity(EdgeId forward_edge, double capacity)
 {
     HELIX_ASSERT(forward_edge >= 0 &&
-                 static_cast<size_t>(forward_edge) < edges.size());
+                 static_cast<size_t>(forward_edge) < 2 * numEdges());
     HELIX_ASSERT((forward_edge & 1) == 0);
     HELIX_ASSERT(capacity >= 0.0);
-    Edge &e = edges[forward_edge];
-    const double flow = e.originalCapacity - e.capacity;
-    e.originalCapacity = capacity;
-    e.capacity = capacity - flow;
+    const size_t k = static_cast<size_t>(forward_edge) >> 1;
+    EdgePair &p = pairs[k];
+    const double flow = p.original - p.residual[0];
+    p.original = capacity;
+    p.residual[0] = capacity - flow;
     if (capacity > capScale)
         capScale = capacity;
     dirty.push_back(forward_edge);
@@ -138,8 +99,10 @@ FlowGraph::setEdgeCapacity(EdgeId forward_edge, double capacity)
 void
 FlowGraph::resetFlow()
 {
-    for (auto &e : edges)
-        e.capacity = e.originalCapacity;
+    for (EdgePair &p : pairs) {
+        p.residual[0] = p.original;
+        p.residual[1] = 0.0;
+    }
     dirty.clear();
 }
 
@@ -149,7 +112,7 @@ FlowGraph::outCapacity(NodeId node) const
     double total = 0.0;
     for (EdgeId id : outEdges(node)) {
         if ((id & 1) == 0)
-            total += edges[id].originalCapacity;
+            total += originalCapacity(id);
     }
     return total;
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/annotations.h"
+#include "util/logging.h"
 #include "util/span.h"
 
 namespace helix {
@@ -35,8 +36,10 @@ constexpr EdgeId kInvalidEdge = -1;
 constexpr double kFlowEps = 1e-9;
 
 /**
- * A directed edge paired with its residual reverse edge. Forward edges
- * have even ids; their residual twins have odd ids (id ^ 1).
+ * One edge of the network as seen from its id. Forward edges have
+ * even ids; their residual twins have odd ids (id ^ 1) and run the
+ * other way with zero original capacity. FlowGraph::edge() returns
+ * this by value; the solvers use the per-field accessors.
  */
 struct Edge
 {
@@ -56,30 +59,19 @@ using ArcSpan = Span<EdgeId>;
  * addNode(); each addEdge() creates a forward edge and a zero-capacity
  * residual twin.
  *
- * Adjacency is one CSR array: the arcs of vertex v are
- * arcs[arcStart[v], arcStart[v + 1]), ordered by ascending edge id,
- * which is the order addEdge() created them in. A graph built with
- * known arc counts (the sizing constructor) writes each arc straight
- * into its slot; one built incrementally gets its adjacency from a
- * counting pass over the edges on the first outEdges() call after an
- * addEdge(). Either way a complete graph holds exactly
- * 2 * numEdges() arcs and no per-vertex vectors. Finish adding edges
- * before sharing a graph between threads.
+ * Storage is flat. A forward edge and its twin share one 32-byte
+ * record (both endpoints, both residual capacities, the original
+ * capacity), so a solver reads an arc and its twin from one place,
+ * and adjacency is one CSR array: the arcs of vertex v are
+ * arcs[arcStart[v], arcStart[v + 1]), in ascending edge id order,
+ * which is the order addEdge() created them in. finish() builds that
+ * array by counting sort; the solvers call it on entry, and
+ * outEdges() requires it to be current. A placement-graph connection
+ * thus costs 40 bytes: its record plus two 4-byte arcs.
  */
 class FlowGraph
 {
   public:
-    FlowGraph() = default;
-
-    /**
-     * A graph of arc_counts.size() unlabeled vertices with exact
-     * storage for a known shape: vertex v will be the tail or head of
-     * arc_counts[v] edges. Each addEdge() then fills its two CSR slots
-     * directly, so the adjacency is complete, with no counting pass,
-     * once every counted edge has been added.
-     */
-    explicit FlowGraph(const std::vector<EdgeId> &arc_counts);
-
     /**
      * Create an isolated vertex and return its id. The optional
      * label is for tests and diagnostics; unlabeled vertices (the
@@ -88,10 +80,13 @@ class FlowGraph
     NodeId addNode(std::string label = "");
 
     /** Number of vertices. */
-    [[nodiscard]] size_t numNodes() const { return nodeCount; }
+    [[nodiscard]] size_t numNodes() const { return degree.size(); }
 
     /** Number of user-added (forward) edges. */
-    [[nodiscard]] size_t numEdges() const { return edges.size() / 2; }
+    [[nodiscard]] size_t numEdges() const { return pairs.size(); }
+
+    /** Reserve storage for @p num_edges forward edges in total. */
+    void reserveEdges(size_t num_edges) { pairs.reserve(num_edges); }
 
     /**
      * Add a directed edge with the given capacity. A residual twin with
@@ -100,13 +95,50 @@ class FlowGraph
      */
     EdgeId addEdge(NodeId from, NodeId to, double capacity);
 
-    /** Access an edge (forward or residual) by id. */
-    [[nodiscard]] const Edge &edge(EdgeId id) const { return edges[id]; }
-    Edge &edge(EdgeId id) { return edges[id]; }
+    /**
+     * Build the CSR adjacency for the edges added so far. Cheap when
+     * nothing was added since the last call. Call it after the last
+     * addEdge() and before sharing the graph between threads.
+     */
+    void finish();
 
-    /** Ids of all edges (forward and residual) leaving @p node, in
-     *  ascending id order. Valid until the graph next gains a vertex
-     *  or an edge. */
+    /** Edge @p id (forward or residual), by value. */
+    [[nodiscard]] Edge edge(EdgeId id) const
+    {
+        return {tail(id), head(id), residual(id),
+                (id & 1) ? 0.0 : originalCapacity(id)};
+    }
+
+    /** Vertex edge @p id leaves. */
+    [[nodiscard]] NodeId tail(EdgeId id) const
+    {
+        return pairs[id >> 1].ends[id & 1];
+    }
+
+    /** Vertex edge @p id enters. */
+    [[nodiscard]] NodeId head(EdgeId id) const
+    {
+        return pairs[id >> 1].ends[(id & 1) ^ 1];
+    }
+
+    /** Remaining residual capacity of edge @p id. */
+    [[nodiscard]] double residual(EdgeId id) const
+    {
+        return pairs[id >> 1].residual[id & 1];
+    }
+    double &residual(EdgeId id) { return pairs[id >> 1].residual[id & 1]; }
+
+    /** Original capacity of a forward edge. */
+    [[nodiscard]] double originalCapacity(EdgeId forward_edge) const
+    {
+        return pairs[forward_edge >> 1].original;
+    }
+
+    /**
+     * Ids of all edges (forward and residual) leaving @p node, in
+     * ascending id order. Requires finish() after the last addEdge();
+     * valid until the graph next gains a vertex or an edge.
+     */
     [[nodiscard]] ArcSpan outEdges(NodeId node) const;
 
     /** Label attached to @p node by addNode() (empty if none). */
@@ -116,7 +148,14 @@ class FlowGraph
      * Flow currently on a forward edge, i.e. how much of its original
      * capacity has been consumed: original - residual.
      */
-    [[nodiscard]] double flowOn(EdgeId forward_edge) const;
+    [[nodiscard]] double flowOn(EdgeId forward_edge) const
+    {
+        HELIX_ASSERT(forward_edge >= 0 &&
+                     static_cast<size_t>(forward_edge) < 2 * numEdges());
+        HELIX_ASSERT((forward_edge & 1) == 0);
+        const size_t k = static_cast<size_t>(forward_edge) >> 1;
+        return pairs[k].original - pairs[k].residual[0];
+    }
 
     /** Restore every edge's residual capacity to its original value. */
     void resetFlow();
@@ -163,26 +202,27 @@ class FlowGraph
     std::vector<EdgeId> &dirtyEdges() { return dirty; }
 
   private:
-    /** Rebuild the CSR adjacency from `edges` by counting sort. */
-    void buildAdjacency() const;
+    /** Forward edge 2k and its residual twin 2k + 1. */
+    struct EdgePair
+    {
+        /** ends[0] is the forward edge's tail, ends[1] its head. */
+        NodeId ends[2];
+        /** Residual capacity of the forward edge and of the twin. */
+        double residual[2];
+        double original;
+    };
 
-    /** Write arc @p id into @p tail's next counted slot; false when
-     *  the tail has none left. */
-    bool fillArc(NodeId tail, EdgeId id);
-
-    std::vector<Edge> edges;
-    /** CSR adjacency over `edges`, rebuilt on demand while stale. */
-    mutable std::vector<EdgeId> arcStart;
-    mutable std::vector<EdgeId> arcs;
-    mutable bool adjacencyStale = true;
-    /** Next free slot per vertex while a sized build fills `arcs`;
-     *  empty otherwise. */
-    mutable std::vector<EdgeId> fillCursor;
+    std::vector<EdgePair> pairs;
+    /** Arcs per vertex, kept current by addEdge(). */
+    std::vector<EdgeId> degree;
+    /** CSR adjacency over the edges, built by finish(). */
+    std::vector<EdgeId> arcStart{0};
+    std::vector<EdgeId> arcs;
+    bool adjacencyStale = false;
     /** Labels of vertices [0, labels.size()); only as long as the
      *  last labeled vertex. */
     std::vector<std::string> labels;
     std::vector<EdgeId> dirty;
-    size_t nodeCount = 0;
     double capScale = 0.0;
 };
 

@@ -61,13 +61,13 @@ PreflowPush::labelErase(NodeId node, int lbl)
 void
 PreflowPush::push(EdgeId edge_id)
 {
-    Edge &e = graph.edge(edge_id);
-    Edge &rev = graph.edge(edge_id ^ 1);
-    double amount = std::min(excess[e.from], e.capacity);
-    e.capacity -= amount;
-    rev.capacity += amount;
-    excess[e.from] -= amount;
-    excess[e.to] += amount;
+    const NodeId from = graph.tail(edge_id);
+    double &capacity = graph.residual(edge_id);
+    double amount = std::min(excess[from], capacity);
+    capacity -= amount;
+    graph.residual(edge_id ^ 1) += amount;
+    excess[from] -= amount;
+    excess[graph.head(edge_id)] += amount;
 }
 
 void
@@ -76,9 +76,8 @@ PreflowPush::relabel(NodeId node)
     const int n = static_cast<int>(graph.numNodes());
     int min_label = std::numeric_limits<int>::max();
     for (EdgeId id : graph.outEdges(node)) {
-        const Edge &e = graph.edge(id);
-        if (e.capacity > kFlowEps)
-            min_label = std::min(min_label, label[e.to]);
+        if (graph.residual(id) > kFlowEps)
+            min_label = std::min(min_label, label[graph.head(id)]);
     }
     const int old = label[node];
     labelErase(node, old);
@@ -122,9 +121,8 @@ PreflowPush::globalRelabel(NodeId source, NodeId sink)
         for (EdgeId id : graph.outEdges(u)) {
             // Traverse edges backwards: v can reach u if the residual
             // edge v->u has capacity, i.e. the twin of u->v does.
-            const Edge &twin = graph.edge(id ^ 1);
-            NodeId v = twin.from;
-            if (twin.capacity > kFlowEps && label[v] == n + 1 &&
+            NodeId v = graph.head(id);
+            if (graph.residual(id ^ 1) > kFlowEps && label[v] == n + 1 &&
                 v != source) {
                 label[v] = next_label;
                 bfsQueue.push_back(v);
@@ -162,14 +160,14 @@ PreflowPush::discharge(NodeId node, NodeId source, NodeId sink)
             continue;
         }
         EdgeId id = out[arc];
-        const Edge &e = graph.edge(id);
-        if (e.capacity > kFlowEps && label[node] == label[e.to] + 1) {
-            bool to_was_inactive = excess[e.to] <= kFlowEps;
+        const NodeId to = graph.head(id);
+        if (graph.residual(id) > kFlowEps && label[node] == label[to] + 1) {
+            bool to_was_inactive = excess[to] <= kFlowEps;
             push(id);
             workSinceRelabel += 1;
-            if (to_was_inactive && e.to != source && e.to != sink &&
-                excess[e.to] > kFlowEps) {
-                activate(e.to);
+            if (to_was_inactive && to != source && to != sink &&
+                excess[to] > kFlowEps) {
+                activate(to);
             }
         } else {
             currentArc[node] = arc + 1;
@@ -181,6 +179,7 @@ double
 PreflowPush::solve(NodeId source, NodeId sink)
 {
     HELIX_ASSERT(source != sink);
+    graph.finish();
     size_t n = graph.numNodes();
     excess.assign(n, 0.0);
     label.assign(n, 0);
@@ -196,9 +195,9 @@ PreflowPush::solve(NodeId source, NodeId sink)
     // Saturate all edges out of the source (self-loops carry no flow).
     for (EdgeId id : graph.outEdges(source)) {
         if ((id & 1) == 0) {
-            Edge &e = graph.edge(id);
-            if (e.capacity > kFlowEps && e.to != source) {
-                excess[source] += e.capacity;
+            const double capacity = graph.residual(id);
+            if (capacity > kFlowEps && graph.head(id) != source) {
+                excess[source] += capacity;
                 push(id);
             }
         }
@@ -281,7 +280,7 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
                                 "at node %d", at);
                 }
                 walk_twins.push_back(chosen);
-                at = graph.edge(chosen).to;
+                at = graph.head(chosen);
                 walk_nodes.push_back(at);
                 if (at != source && visited[at] == stamp) {
                     cycle_at = at;
@@ -299,8 +298,8 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
                     delta = std::min(delta,
                                      graph.flowOn(walk_twins[i] ^ 1));
                 for (size_t i = start; i < walk_twins.size(); ++i) {
-                    graph.edge(walk_twins[i] ^ 1).capacity += delta;
-                    graph.edge(walk_twins[i]).capacity -= delta;
+                    graph.residual(walk_twins[i] ^ 1) += delta;
+                    graph.residual(walk_twins[i]) -= delta;
                 }
                 continue;
             }
@@ -309,8 +308,8 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
             for (EdgeId twin : walk_twins)
                 delta = std::min(delta, graph.flowOn(twin ^ 1));
             for (EdgeId twin : walk_twins) {
-                graph.edge(twin ^ 1).capacity += delta;
-                graph.edge(twin).capacity -= delta;
+                graph.residual(twin ^ 1) += delta;
+                graph.residual(twin) -= delta;
             }
             excess[v] -= delta;
             excess[source] += delta;
@@ -357,7 +356,7 @@ PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
                             "%d", amount, at);
             }
             walk.push_back(chosen);
-            at = graph.edge(chosen).to;
+            at = graph.head(chosen);
             walk_nodes.push_back(at);
             if (at != terminal && visited[at] == stamp) {
                 cycle_at = at;
@@ -374,8 +373,8 @@ PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
             for (size_t i = cstart; i < walk.size(); ++i)
                 delta = std::min(delta, graph.flowOn(forwardOf(walk[i])));
             for (size_t i = cstart; i < walk.size(); ++i) {
-                graph.edge(forwardOf(walk[i])).capacity += delta;
-                graph.edge(forwardOf(walk[i]) ^ 1).capacity -= delta;
+                graph.residual(forwardOf(walk[i])) += delta;
+                graph.residual(forwardOf(walk[i]) ^ 1) -= delta;
                 touched.push_back(forwardOf(walk[i]));
             }
             continue;
@@ -384,8 +383,8 @@ PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
         for (EdgeId id : walk)
             delta = std::min(delta, graph.flowOn(forwardOf(id)));
         for (EdgeId id : walk) {
-            graph.edge(forwardOf(id)).capacity += delta;
-            graph.edge(forwardOf(id) ^ 1).capacity -= delta;
+            graph.residual(forwardOf(id)) += delta;
+            graph.residual(forwardOf(id) ^ 1) -= delta;
             touched.push_back(forwardOf(id));
         }
         amount -= delta;
@@ -402,10 +401,10 @@ PreflowPush::augmentLevels(NodeId source, NodeId sink)
     for (size_t head = 0; head < bfsQueue.size(); ++head) {
         NodeId u = bfsQueue[head];
         for (EdgeId id : graph.outEdges(u)) {
-            const Edge &e = graph.edge(id);
-            if (e.capacity > kFlowEps && label[e.to] < 0) {
-                label[e.to] = label[u] + 1;
-                bfsQueue.push_back(e.to);
+            const NodeId v = graph.head(id);
+            if (graph.residual(id) > kFlowEps && label[v] < 0) {
+                label[v] = label[u] + 1;
+                bfsQueue.push_back(v);
             }
         }
     }
@@ -420,13 +419,13 @@ PreflowPush::augmentBlocking(NodeId node, NodeId sink, double limit)
     const auto &out = graph.outEdges(node);
     for (; currentArc[node] < out.size(); ++currentArc[node]) {
         EdgeId id = out[currentArc[node]];
-        Edge &e = graph.edge(id);
-        if (e.capacity > kFlowEps && label[e.to] == label[node] + 1) {
-            double pushed = augmentBlocking(e.to, sink,
-                                            std::min(limit, e.capacity));
+        const NodeId to = graph.head(id);
+        if (graph.residual(id) > kFlowEps && label[to] == label[node] + 1) {
+            double pushed = augmentBlocking(
+                to, sink, std::min(limit, graph.residual(id)));
             if (pushed > kFlowEps) {
-                e.capacity -= pushed;
-                graph.edge(id ^ 1).capacity += pushed;
+                graph.residual(id) -= pushed;
+                graph.residual(id ^ 1) += pushed;
                 touched.push_back(id & ~1);
                 return pushed;
             }
@@ -439,6 +438,7 @@ double
 PreflowPush::repair(NodeId source, NodeId sink)
 {
     HELIX_ASSERT(source != sink);
+    graph.finish();
     const size_t n = graph.numNodes();
     const double tol = scaleTolerance(graph);
 
@@ -452,19 +452,18 @@ PreflowPush::repair(NodeId source, NodeId sink)
     // edge.
     touched.clear();
     for (EdgeId id : graph.dirtyEdges()) {
-        Edge &e = graph.edge(id);
         touched.push_back(id);
-        if (e.capacity >= 0.0)
+        if (graph.residual(id) >= 0.0)
             continue;
-        double surplus = -e.capacity;
-        e.capacity = 0.0;
-        graph.edge(id ^ 1).capacity = e.originalCapacity;
-        if (e.from != source)
-            cancelFlow(e.from, source, /*toward_source=*/true, surplus,
-                       tol);
-        if (e.to != sink)
-            cancelFlow(e.to, sink, /*toward_source=*/false, surplus,
-                       tol);
+        double surplus = -graph.residual(id);
+        graph.residual(id) = 0.0;
+        graph.residual(id ^ 1) = graph.originalCapacity(id);
+        if (graph.tail(id) != source)
+            cancelFlow(graph.tail(id), source, /*toward_source=*/true,
+                       surplus, tol);
+        if (graph.head(id) != sink)
+            cancelFlow(graph.head(id), sink, /*toward_source=*/false,
+                       surplus, tol);
     }
     graph.dirtyEdges().clear();
 
@@ -486,12 +485,11 @@ PreflowPush::repair(NodeId source, NodeId sink)
     // zero flows instead of accumulated rounding noise. Only edges
     // this repair touched can have picked up fresh noise.
     for (EdgeId id : touched) {
-        Edge &e = graph.edge(id);
         double f = graph.flowOn(id);
         // helix-lint: allow(float-eq) exact-zero sentinel: only non-zero sub-tolerance noise gets snapped
         if (f != 0.0 && f < tol) {
-            e.capacity = e.originalCapacity;
-            graph.edge(id ^ 1).capacity = 0.0;
+            graph.residual(id) = graph.originalCapacity(id);
+            graph.residual(id ^ 1) = 0.0;
         }
     }
 
@@ -512,10 +510,10 @@ Dinic::buildLevels(NodeId source, NodeId sink)
     for (size_t head = 0; head < queue.size(); ++head) {
         NodeId u = queue[head];
         for (EdgeId id : graph.outEdges(u)) {
-            const Edge &e = graph.edge(id);
-            if (e.capacity > kFlowEps && level[e.to] < 0) {
-                level[e.to] = level[u] + 1;
-                queue.push_back(e.to);
+            const NodeId v = graph.head(id);
+            if (graph.residual(id) > kFlowEps && level[v] < 0) {
+                level[v] = level[u] + 1;
+                queue.push_back(v);
             }
         }
     }
@@ -530,13 +528,13 @@ Dinic::augment(NodeId node, NodeId sink, double limit)
     const auto &out = graph.outEdges(node);
     for (; nextArc[node] < out.size(); ++nextArc[node]) {
         EdgeId id = out[nextArc[node]];
-        Edge &e = graph.edge(id);
-        if (e.capacity > kFlowEps && level[e.to] == level[node] + 1) {
-            double pushed = augment(e.to, sink,
-                                    std::min(limit, e.capacity));
+        const NodeId to = graph.head(id);
+        if (graph.residual(id) > kFlowEps && level[to] == level[node] + 1) {
+            double pushed = augment(to, sink,
+                                    std::min(limit, graph.residual(id)));
             if (pushed > kFlowEps) {
-                e.capacity -= pushed;
-                graph.edge(id ^ 1).capacity += pushed;
+                graph.residual(id) -= pushed;
+                graph.residual(id ^ 1) += pushed;
                 return pushed;
             }
         }
@@ -548,6 +546,7 @@ double
 Dinic::solve(NodeId source, NodeId sink)
 {
     HELIX_ASSERT(source != sink);
+    graph.finish();
     double total = 0.0;
     while (buildLevels(source, sink)) {
         nextArc.assign(graph.numNodes(), 0);
@@ -571,10 +570,10 @@ minCutSourceSide(const FlowGraph &graph, NodeId source)
     for (size_t head = 0; head < queue.size(); ++head) {
         NodeId u = queue[head];
         for (EdgeId id : graph.outEdges(u)) {
-            const Edge &e = graph.edge(id);
-            if (e.capacity > kFlowEps && !reachable[e.to]) {
-                reachable[e.to] = true;
-                queue.push_back(e.to);
+            const NodeId v = graph.head(id);
+            if (graph.residual(id) > kFlowEps && !reachable[v]) {
+                reachable[v] = true;
+                queue.push_back(v);
             }
         }
     }
@@ -622,10 +621,9 @@ decomposeFlow(const FlowGraph &graph, NodeId source, NodeId sink)
             }
             if (chosen == kInvalidEdge)
                 break;
-            const Edge &e = graph.edge(chosen);
+            at = graph.head(chosen);
             path_edges.push_back(chosen);
-            path_nodes.push_back(e.to);
-            at = e.to;
+            path_nodes.push_back(at);
             if (at == sink) {
                 reached_sink = true;
                 break;

@@ -23,7 +23,9 @@ namespace flow {
 
 /**
  * Preflow-push max-flow. Mutates the graph's residual capacities; call
- * FlowGraph::resetFlow() to solve again from scratch.
+ * FlowGraph::resetFlow() to solve again from scratch. solve() and
+ * repair() first finish() the graph, so edges may be added up to the
+ * call.
  */
 class PreflowPush
 {

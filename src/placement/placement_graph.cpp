@@ -122,84 +122,87 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         for (int l = placement[i].start; l < bucketsEnd(placement[i]); ++l)
             bucketNodes[cursor[l]++] = i;
     }
-    auto forEachSuccessor = [&](int i, auto &&visit) {
-        const int e = placement[i].end();
-        for (int k = bucketStart[e]; k < bucketStart[e + 1]; ++k) {
-            const int j = bucketNodes[k];
-            if (!options.filter || options.filter->allowed(i, j))
-                visit(j);
-        }
-    };
 
-    // Every edge of the network in id order: the compute edges, then
-    // per node its coordinator links and successor connections. One
-    // run counts each vertex's arcs so the network is stored at exact
-    // size; the second adds the edges, evaluating capacities.
+    // One pass adds every edge in id order: the compute edges, then
+    // per node its coordinator links and successor connections. The
+    // filter only removes successors, so the unfiltered count bounds
+    // the edges to reserve.
+    size_t max_edges = rankNode.size();
+    for (int i : rankNode) {
+        const NodePlacement &p = placement[i];
+        max_edges += static_cast<size_t>(
+            (p.start == 0) + (p.end() == num_layers) +
+            bucketStart[p.end() + 1] - bucketStart[p.end()]);
+    }
+    for (size_t v = 0; v < 2 + 2 * rankNode.size(); ++v)
+        (void)net.addNode();
+    net.reserveEdges(max_edges);
+    for (int i : rankNode) {
+        (void)net.addEdge(inVertex(i), outVertex(i),
+                          profiler.decodeThroughput(cluster.node(i),
+                                                    placement[i].count));
+    }
     const double act_bytes = profiler.activationBytes();
     const double tok_bytes = profiler.tokenBytes();
-    auto forEachEdge = [&](auto &&edge) {
-        for (int i : rankNode) {
-            edge(inVertex(i), outVertex(i), [&] {
-                return profiler.decodeThroughput(cluster.node(i),
-                                                 placement[i].count);
-            });
+    for (int i : rankNode) {
+        const NodePlacement &p = placement[i];
+        // Criterion 1: coordinator -> node holding the first layer.
+        if (p.start == 0) {
+            (void)net.addEdge(
+                kSourceVertex, inVertex(i),
+                profiler.linkTokensPerSecond(
+                    cluster.link(cluster::kCoordinator, i), tok_bytes));
         }
-        for (int i : rankNode) {
-            const NodePlacement &p = placement[i];
-            // Criterion 1: coordinator -> node holding the first layer.
-            if (p.start == 0) {
-                edge(kSourceVertex, inVertex(i), [&] {
-                    return profiler.linkTokensPerSecond(
-                        cluster.link(cluster::kCoordinator, i), tok_bytes);
-                });
-            }
-            // Criterion 2: node holding the last layer -> coordinator.
-            if (p.end() == num_layers) {
-                edge(outVertex(i), kSinkVertex, [&] {
-                    return profiler.linkTokensPerSecond(
-                        cluster.link(i, cluster::kCoordinator), tok_bytes);
-                });
-            }
-            // Criterion 3: node -> node holding the next needed layer.
-            forEachSuccessor(i, [&](int j) {
-                edge(outVertex(i), inVertex(j), [&] {
-                    return profiler.linkTokensPerSecond(cluster.link(i, j),
-                                                        act_bytes);
-                });
-            });
+        // Criterion 2: node holding the last layer -> coordinator.
+        if (p.end() == num_layers) {
+            (void)net.addEdge(
+                outVertex(i), kSinkVertex,
+                profiler.linkTokensPerSecond(
+                    cluster.link(i, cluster::kCoordinator), tok_bytes));
         }
-    };
-    std::vector<flow::EdgeId> arc_counts(2 + 2 * rankNode.size(), 0);
-    forEachEdge([&](flow::NodeId from, flow::NodeId to, auto &&) {
-        ++arc_counts[from];
-        ++arc_counts[to];
-    });
-    net = flow::FlowGraph(arc_counts);
-    forEachEdge([&](flow::NodeId from, flow::NodeId to, auto &&capacity) {
-        (void)net.addEdge(from, to, capacity());
-    });
+        // Criterion 3: node -> node holding the next needed layer.
+        for (int k = bucketStart[p.end()]; k < bucketStart[p.end() + 1];
+             ++k) {
+            const int j = bucketNodes[k];
+            if (options.filter && !options.filter->allowed(i, j))
+                continue;
+            (void)net.addEdge(outVertex(i), inVertex(j),
+                              profiler.linkTokensPerSecond(
+                                  cluster.link(i, j), act_bytes));
+        }
+    }
+    net.finish();
+}
+
+flow::ArcSpan
+PlacementGraph::connectionArcs(int endpoint) const
+{
+    if (endpoint == cluster::kCoordinator)
+        return net.outEdges(kSourceVertex);
+    const flow::NodeId tail = outVertex(endpoint);
+    if (tail == flow::kInvalidNode)
+        return {};
+    // Nothing else enters an out-vertex, so its arcs are its compute
+    // edge's residual twin followed by its connections.
+    const flow::ArcSpan arcs = net.outEdges(tail);
+    return {arcs.begin() + 1, arcs.end()};
 }
 
 flow::EdgeId
 PlacementGraph::connectionEdge(int from, int to) const
 {
     HELIX_ASSERT(to >= cluster::kCoordinator && to < numNodes());
-    const flow::NodeId tail = tailVertex(from);
     const flow::NodeId head =
         to == cluster::kCoordinator ? kSinkVertex : inVertex(to);
-    if (tail == flow::kInvalidNode || head == flow::kInvalidNode)
+    if (head == flow::kInvalidNode)
         return flow::kInvalidEdge;
-    // The tail's forward arcs ascend by head vertex; an out-vertex's
-    // arcs open with its compute edge's residual twin.
-    const flow::ArcSpan arcs = net.outEdges(tail);
-    const flow::EdgeId *first = arcs.begin();
-    if (tail != kSourceVertex)
-        ++first;
+    const flow::ArcSpan arcs = connectionArcs(from);
     const flow::EdgeId *it = std::lower_bound(
-        first, arcs.end(), head, [&](flow::EdgeId id, flow::NodeId key) {
-            return net.edge(id).to < key;
+        arcs.begin(), arcs.end(), head,
+        [&](flow::EdgeId id, flow::NodeId key) {
+            return net.head(id) < key;
         });
-    return (it != arcs.end() && net.edge(*it).to == head)
+    return (it != arcs.end() && net.head(*it) == head)
                ? *it
                : flow::kInvalidEdge;
 }
@@ -274,17 +277,10 @@ PlacementGraph::connections() const
     std::vector<ConnectionInfo> result;
     result.reserve(numConnections());
     for (int from = cluster::kCoordinator; from < numNodes(); ++from) {
-        const flow::NodeId tail = tailVertex(from);
-        if (tail == flow::kInvalidNode)
-            continue;
-        for (flow::EdgeId id : net.outEdges(tail)) {
-            if ((id & 1) != 0)
-                continue;
-            const flow::Edge &e = net.edge(id);
-            result.push_back({from, clusterEndpoint(e.to),
-                              e.originalCapacity,
-                              cachedFlow ? net.flowOn(id) : 0.0});
-        }
+        forEachConnection(from, [&](int to, double capacity,
+                                    double carried) {
+            result.push_back({from, to, capacity, carried});
+        });
     }
     return result;
 }
@@ -301,21 +297,6 @@ PlacementGraph::outVertex(int node) const
 {
     HELIX_ASSERT(node >= 0 && node < numNodes());
     return nodeRank[node] < 0 ? flow::kInvalidNode : 3 + 2 * nodeRank[node];
-}
-
-flow::NodeId
-PlacementGraph::tailVertex(int endpoint) const
-{
-    return endpoint == cluster::kCoordinator ? kSourceVertex
-                                             : outVertex(endpoint);
-}
-
-int
-PlacementGraph::clusterEndpoint(flow::NodeId vertex) const
-{
-    if (vertex < 0 || static_cast<size_t>(vertex) >= net.numNodes())
-        HELIX_PANIC("unknown flow vertex %d", vertex);
-    return vertex < 2 ? cluster::kCoordinator : rankNode[(vertex - 2) / 2];
 }
 
 bool

@@ -21,6 +21,7 @@
 #include "core/annotations.h"
 #include "flow/graph.h"
 #include "placement/placement.h"
+#include "util/logging.h"
 
 namespace helix {
 namespace placement {
@@ -88,7 +89,8 @@ struct GraphBuildOptions
  * target) order, so every out-vertex's forward arcs ascend by target
  * vertex behind its compute edge's residual twin. The graph keeps no
  * copy of the cluster or placement and no per-connection index: the
- * flow network's CSR adjacency is the connection table.
+ * flow network's CSR adjacency is the connection table, read through
+ * forEachConnection().
  */
 class PlacementGraph
 {
@@ -162,6 +164,22 @@ class PlacementGraph
     };
     [[nodiscard]] std::vector<ConnectionInfo> connections() const;
 
+    /**
+     * Call visit(to, capacity, flow) for every connection leaving
+     * @p from (cluster::kCoordinator or a node index), ordered by
+     * target with the coordinator first; @p to is
+     * cluster::kCoordinator for the link back to the coordinator.
+     * Flows read 0 before maxThroughput().
+     */
+    template <typename Visit>
+    void forEachConnection(int from, Visit &&visit) const
+    {
+        for (flow::EdgeId id : connectionArcs(from)) {
+            visit(clusterEndpoint(net.head(id)), net.originalCapacity(id),
+                  net.flowOn(id));
+        }
+    }
+
     /** The underlying flow network (for tests and diagnostics). */
     [[nodiscard]] const flow::FlowGraph &graph() const { return net; }
 
@@ -181,18 +199,17 @@ class PlacementGraph
     [[nodiscard]] flow::NodeId outVertex(int node) const;
 
     /**
-     * Vertex whose forward arcs are @p endpoint's outgoing
-     * connections: the source for cluster::kCoordinator, otherwise
-     * the node's out-vertex (kInvalidNode when it holds no layers).
-     */
-    [[nodiscard]] flow::NodeId tailVertex(int endpoint) const;
-
-    /**
      * Map a flow-network vertex back to its cluster endpoint:
      * cluster::kCoordinator for source/sink, otherwise the compute
      * node index. In-vertices return the node; out-vertices too.
      */
-    [[nodiscard]] int clusterEndpoint(flow::NodeId vertex) const;
+    [[nodiscard]] int clusterEndpoint(flow::NodeId vertex) const
+    {
+        HELIX_ASSERT(vertex >= 0 &&
+                     static_cast<size_t>(vertex) < net.numNodes());
+        return vertex < 2 ? cluster::kCoordinator
+                          : rankNode[(vertex - 2) / 2];
+    }
 
     /** Whether @p vertex is a compute node's in-vertex. */
     [[nodiscard]] bool isInVertex(flow::NodeId vertex) const;
@@ -207,6 +224,13 @@ class PlacementGraph
     /** Node index of each rank (inverse of nodeRank). */
     std::vector<int> rankNode;
     std::optional<double> cachedFlow;
+
+    /**
+     * The forward edges of @p endpoint's outgoing connections
+     * (cluster::kCoordinator or a node index), ordered by head
+     * vertex; empty when the node holds no layers.
+     */
+    flow::ArcSpan connectionArcs(int endpoint) const;
 
     /** Edge of the (from, to) connection, or kInvalidEdge. */
     flow::EdgeId connectionEdge(int from, int to) const;

@@ -54,25 +54,16 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
     }
 
     HELIX_ASSERT(graph.numNodes() == n);
-    const flow::FlowGraph &net = graph.graph();
     arcs.reserve(graph.numConnections());
     rowStart.reserve(static_cast<size_t>(n) + 2);
     rowStart.push_back(0);
     for (int from = cluster::kCoordinator; from < n; ++from) {
-        const flow::NodeId tail = graph.tailVertex(from);
-        if (tail != flow::kInvalidNode) {
-            // The tail's forward arcs are its connections, in target
-            // order; odd arcs are residual twins.
-            for (flow::EdgeId id : net.outEdges(tail)) {
-                if ((id & 1) != 0)
-                    continue;
-                const flow::Edge &e = net.edge(id);
-                const int to = e.to == graph.sink()
-                                   ? kSink
-                                   : graph.clusterEndpoint(e.to);
-                arcs.push_back({to, net.flowOn(id), e.originalCapacity});
-            }
-        }
+        // A connection to the coordinator can only be the sink link.
+        graph.forEachConnection(from, [&](int to, double capacity,
+                                          double carried) {
+            arcs.push_back({to == cluster::kCoordinator ? kSink : to,
+                            carried, capacity});
+        });
         rowStart.push_back(arcs.size());
     }
 }

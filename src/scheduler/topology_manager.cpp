@@ -103,7 +103,7 @@ TopologyManager::resolve()
             continue;
         double want = effectiveCapacity(node);
         // helix-lint: allow(float-eq) exact no-op filter: capacities are copied values, never computed, so equal means unchanged
-        if (liveGraph->graph().edge(e).originalCapacity != want)
+        if (liveGraph->graph().originalCapacity(e) != want)
             liveGraph->setComputeCapacity(node, want);
     }
     (void)liveGraph->repairFlow(); // value read via publish()
