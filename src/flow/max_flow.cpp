@@ -113,19 +113,24 @@ PreflowPush::globalRelabel(NodeId source, NodeId sink)
     // excess to the source.
     std::fill(label.begin(), label.end(), n + 1);
     label[sink] = 0;
-    bfsQueue.clear();
-    bfsQueue.push_back(sink);
-    for (size_t head = 0; head < bfsQueue.size(); ++head) {
-        NodeId u = bfsQueue[head];
+    // Each vertex is queued at most once, so the queue is a sized
+    // array with a tail index: no push_back (and no spill of the
+    // pushed vertex) in the arc scan.
+    bfsQueue.resize(static_cast<size_t>(n));
+    bfsQueue[0] = sink;
+    size_t tail = 1;
+    for (size_t head = 0; head < tail; ++head) {
+        const NodeId u = bfsQueue[head];
         const int next_label = label[u] + 1;
         for (EdgeId id : graph.outEdges(u)) {
             // Traverse edges backwards: v can reach u if the residual
             // edge v->u has capacity, i.e. the twin of u->v does.
-            NodeId v = graph.head(id);
-            if (graph.residual(id ^ 1) > kFlowEps && label[v] == n + 1 &&
-                v != source) {
+            if (graph.residual(id ^ 1) <= kFlowEps)
+                continue;
+            const NodeId v = graph.head(id);
+            if (label[v] == n + 1 && v != source) {
                 label[v] = next_label;
-                bfsQueue.push_back(v);
+                bfsQueue[tail++] = v;
             }
         }
     }
@@ -394,17 +399,23 @@ PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
 bool
 PreflowPush::augmentLevels(NodeId source, NodeId sink)
 {
-    label.assign(graph.numNodes(), -1);
+    const size_t n = graph.numNodes();
+    label.assign(n, -1);
     label[source] = 0;
-    bfsQueue.clear();
-    bfsQueue.push_back(source);
-    for (size_t head = 0; head < bfsQueue.size(); ++head) {
-        NodeId u = bfsQueue[head];
+    // Same sized queue as globalRelabel: each vertex enters it once.
+    bfsQueue.resize(n);
+    bfsQueue[0] = source;
+    size_t tail = 1;
+    for (size_t head = 0; head < tail; ++head) {
+        const NodeId u = bfsQueue[head];
+        const int next_label = label[u] + 1;
         for (EdgeId id : graph.outEdges(u)) {
+            if (graph.residual(id) <= kFlowEps)
+                continue;
             const NodeId v = graph.head(id);
-            if (graph.residual(id) > kFlowEps && label[v] < 0) {
-                label[v] = label[u] + 1;
-                bfsQueue.push_back(v);
+            if (label[v] < 0) {
+                label[v] = next_label;
+                bfsQueue[tail++] = v;
             }
         }
     }
@@ -419,16 +430,19 @@ PreflowPush::augmentBlocking(NodeId node, NodeId sink, double limit)
     const auto &out = graph.outEdges(node);
     for (; currentArc[node] < out.size(); ++currentArc[node]) {
         EdgeId id = out[currentArc[node]];
+        // Residual first: the head is read only for usable arcs.
+        if (graph.residual(id) <= kFlowEps)
+            continue;
         const NodeId to = graph.head(id);
-        if (graph.residual(id) > kFlowEps && label[to] == label[node] + 1) {
-            double pushed = augmentBlocking(
-                to, sink, std::min(limit, graph.residual(id)));
-            if (pushed > kFlowEps) {
-                graph.residual(id) -= pushed;
-                graph.residual(id ^ 1) += pushed;
-                touched.push_back(id & ~1);
-                return pushed;
-            }
+        if (label[to] != label[node] + 1)
+            continue;
+        double pushed = augmentBlocking(
+            to, sink, std::min(limit, graph.residual(id)));
+        if (pushed > kFlowEps) {
+            graph.residual(id) -= pushed;
+            graph.residual(id ^ 1) += pushed;
+            touched.push_back(id & ~1);
+            return pushed;
         }
     }
     return 0.0;

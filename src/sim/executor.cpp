@@ -63,9 +63,10 @@ constexpr uint8_t kBatchDoneRank =
 
 ParallelExecutor::ParallelExecutor(
     ClusterSimulator &simulator, int num_threads, double min_latency,
-    std::vector<ChurnEvent> churn_schedule, double end_time)
-    : sim(simulator), lambda(min_latency), endTime(end_time),
-      churn(std::move(churn_schedule))
+    std::vector<ChurnEvent> churn_schedule, double end_time,
+    ClusterSimulator::ArrivalStream &arrival_stream)
+    : sim(simulator), arrivals(arrival_stream), lambda(min_latency),
+      endTime(end_time), churn(std::move(churn_schedule))
 {
     HELIX_ASSERT(lambda > 0.0);
     const int n = static_cast<int>(sim.nodes.size());
@@ -414,6 +415,8 @@ ParallelExecutor::runBarrier(double when)
             lane.queue.pop();
         }
     }
+    while (arrivals.headTime() <= when)
+        batch.push_back(arrivals.popEvent());
     uint64_t churn_seq = 0;
     while (churnIdx < churn.size() &&
            churn[churnIdx].atSeconds <= when) {
@@ -456,22 +459,22 @@ ParallelExecutor::runBarrier(double when)
 }
 
 void
+ParallelExecutor::feedArrivals()
+{
+    while (arrivals.headTime() < horizon)
+        lanes[0].push(arrivals.popEvent());
+}
+
+void
 ParallelExecutor::run()
 {
-    // Seed arrivals into the coordinator lane in request order.
-    for (size_t i = 0; i < sim.requests.size(); ++i) {
-        Event event;
-        event.kind = Event::Kind::Arrival;
-        event.item.request = static_cast<int>(i);
-        event.time =
-            std::max(sim.requests[i].request.arrivalS, 0.0);
-        lanes[0].push(event);
-    }
     refreshMirror();
 
     const double inf = std::numeric_limits<double>::infinity();
     for (;;) {
-        double next = inf;
+        // The arrival stream is one more event source: its head joins
+        // the lane heads in the choice of the next round or barrier.
+        double next = arrivals.headTime();
         for (const ParallelLane &lane : lanes) {
             if (!lane.queue.empty())
                 next = std::min(next, lane.queue.top().time);
@@ -496,6 +499,7 @@ ParallelExecutor::run()
         // Conservative round: every event below the horizon is causally
         // closed — any message it sends arrives at >= next + lambda.
         horizon = std::min(next + lambda, barrier_at);
+        feedArrivals();
         runNodePhase();
         runCoordinatorPhase();
         flushOutboxes();

@@ -156,14 +156,16 @@ class ParallelExecutor
     ParallelExecutor(ClusterSimulator &simulator, int num_threads,
                      double min_latency,
                      std::vector<ChurnEvent> churn_schedule,
-                     double end_time);
+                     double end_time,
+                     ClusterSimulator::ArrivalStream &arrival_stream);
     ~ParallelExecutor();
 
     ParallelExecutor(const ParallelExecutor &) = delete;
     ParallelExecutor &operator=(const ParallelExecutor &) = delete;
 
-    /** Execute the full run (arrivals are already seeded). Drives
-     *  every context: node phases, coordinator phases, barriers. */
+    /** Execute the full run, drawing arrivals from the stream.
+     *  Drives every context: node phases, coordinator phases,
+     *  barriers. */
     HELIX_CONTEXT_DISPATCH
     void run();
 
@@ -209,9 +211,15 @@ class ParallelExecutor
     HELIX_COORDINATOR_ONLY
     void runCoordinatorPhase();
 
+    /** Move every streamed arrival below the round horizon into the
+     *  coordinator lane (between phases, lanes parked). */
+    HELIX_COORDINATOR_ONLY
+    void feedArrivals();
+
     /** Serial barrier step at churn time @p when: execute every
-     *  event at exactly that time, plus the churn entries, in serial
-     *  event order against fully-synchronized state. */
+     *  event at exactly that time (streamed arrivals included), plus
+     *  the churn entries, in serial event order against fully-
+     *  synchronized state. */
     HELIX_CHURN_BARRIER_ONLY
     void runBarrier(double when);
 
@@ -227,6 +235,10 @@ class ParallelExecutor
                        int request, int stage, uint32_t epoch);
 
     ClusterSimulator &sim;
+    /** The run's arrivals, fed into the coordinator lane one round
+     *  (or barrier) at a time. */
+    HELIX_COORDINATOR_ONLY
+    ClusterSimulator::ArrivalStream &arrivals;
     double lambda;
     double endTime;
     std::vector<ChurnEvent> churn;

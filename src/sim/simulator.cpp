@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "scheduler/topology_manager.h"
 #include "sim/executor.h"
@@ -158,7 +159,7 @@ ClusterSimulator::inWindow(double t) const
 double
 ClusterSimulator::contextLen(const RequestState &rs) const
 {
-    return static_cast<double>(rs.request.promptLen + rs.generated);
+    return static_cast<double>(rs.request->promptLen + rs.generated);
 }
 
 int
@@ -231,7 +232,7 @@ ClusterSimulator::tryAdmit()
             break; // Every queue is empty or held.
         int t = tenantOf(idx);
         RequestState &rs = requests[static_cast<size_t>(idx)];
-        auto pipeline = sched.schedule(rs.request, *this);
+        auto pipeline = sched.schedule(*rs.request, *this);
         if (!pipeline) {
             // Nothing admissible right now. If the cluster is
             // completely idle AND fully alive, this request can never
@@ -278,16 +279,16 @@ ClusterSimulator::tryAdmit()
         ++metrics.tenantStats[static_cast<size_t>(t)]
               .requestsAdmitted;
         fair->onAdmitted(t);
-        sched.onRequestAdmitted(rs.request, rs.pipeline);
+        sched.onRequestAdmitted(*rs.request, rs.pipeline);
         // Dispatch the prompt: the coordinator ships the token ids of
         // the prompt to the first stage.
         int first_node = rs.pipeline.front().node;
-        double bytes = static_cast<double>(rs.request.promptLen) *
+        double bytes = static_cast<double>(rs.request->promptLen) *
                        profiler.tokenBytes();
         Event ev;
         ev.kind = Event::Kind::WorkDelivery;
         ev.node = first_node;
-        ev.item = WorkItem{idx, 0, rs.request.promptLen, rs.epoch,
+        ev.item = WorkItem{idx, 0, rs.request->promptLen, rs.epoch,
                            true, true};
         scheduleEvent(
             transferDelivery(cluster::kCoordinator, first_node, bytes),
@@ -300,7 +301,7 @@ int
 ClusterSimulator::tenantOf(int request_index) const
 {
     const int t =
-        requests[static_cast<size_t>(request_index)].request.tenant;
+        requests[static_cast<size_t>(request_index)].request->tenant;
     if (t < 0 || t >= fair->numTenants())
         return 0;
     return t;
@@ -432,10 +433,10 @@ ClusterSimulator::startBatch(int node)
             // KV admission applies to the first chunk of a prompt
             // (when the request becomes resident on this node).
             bool first_chunk =
-                item.numTokens == rs.request.promptLen;
+                item.numTokens == rs.request->promptLen;
             if (first_chunk) {
                 double need =
-                    (static_cast<double>(rs.request.promptLen) + 1.0) *
+                    (static_cast<double>(rs.request->promptLen) + 1.0) *
                     spec.kvBytesPerTokenPerLayer() *
                     rs.pipeline[item.stage].numLayers();
                 bool node_empty =
@@ -604,7 +605,7 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
             // A prompt forwards in full once its last chunk finishes
             // here (earlier chunks produced activations that are
             // shipped together with the final one).
-            int tokens = item.isPrompt ? rs.request.promptLen
+            int tokens = item.isPrompt ? rs.request->promptLen
                                        : item.numTokens;
             double bytes = static_cast<double>(tokens) *
                            profiler.activationBytes();
@@ -623,7 +624,7 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
         if (item.isPrompt && last_stage && !rs.promptCounted) {
             rs.promptCounted = true;
             if (inWindow(curTime()))
-                state.promptTokensInWindow += rs.request.promptLen;
+                state.promptTokensInWindow += rs.request->promptLen;
         }
     }
     state.running.clear();
@@ -688,8 +689,8 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         // requests are excluded: their first token was already
         // sampled before the failure.
         if (!rs.restartedEver && inWindow(tnow) &&
-            inWindow(rs.request.arrivalS)) {
-            metrics.promptLatency.add(tnow - rs.request.arrivalS);
+            inWindow(rs.request->arrivalS)) {
+            metrics.promptLatency.add(tnow - rs.request->arrivalS);
             // Per-tenant TTFT SLO sample, same mixed-window and
             // restart guards as the latency distribution.
             SimMetrics::TenantStat &stat =
@@ -697,7 +698,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
                     tenantOf(request))];
             if (stat.sloTtftS > 0.0) {
                 ++stat.ttftSamples;
-                if (tnow - rs.request.arrivalS <= stat.sloTtftS)
+                if (tnow - rs.request->arrivalS <= stat.sloTtftS)
                     ++stat.ttftMet;
             }
         }
@@ -707,7 +708,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
               .decodeTokensInWindow;
     }
 
-    if (rs.generated >= rs.request.outputLen) {
+    if (rs.generated >= rs.request->outputLen) {
         // Request complete: notify every stage to release exactly the
         // KV this request wrote there. The release is an event
         // delivered after the coordinator->node propagation latency —
@@ -740,16 +741,16 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
                 ev);
             rs.kvWritten[s] = 0.0;
         }
-        sched.onRequestFinished(rs.request, rs.pipeline);
+        sched.onRequestFinished(*rs.request, rs.pipeline);
         // Same mixed-window guard as prompt latency: the decode
         // interval is [firstToken, finish]; both ends must be
         // in-window for the sample to be entirely measured.
         // Restarted requests are excluded — their interval spans the
         // failure and recovery, not steady-state decode.
-        if (!rs.restartedEver && rs.request.outputLen > 1 &&
+        if (!rs.restartedEver && rs.request->outputLen > 1 &&
             inWindow(rs.finishTime) && inWindow(rs.firstTokenTime)) {
             double tpot = (rs.finishTime - rs.firstTokenTime) /
-                          (rs.request.outputLen - 1);
+                          (rs.request->outputLen - 1);
             metrics.decodeLatency.add(tpot);
             SimMetrics::TenantStat &stat =
                 metrics.tenantStats[static_cast<size_t>(tenant)];
@@ -952,7 +953,7 @@ ClusterSimulator::restartRequest(int request_index, int skip_node)
         state.kvUsed = std::max(0.0, state.kvUsed - rs.kvWritten[s]);
         rs.kvWritten[s] = 0.0;
     }
-    sched.onRequestFinished(rs.request, rs.pipeline);
+    sched.onRequestFinished(*rs.request, rs.pipeline);
     // It will be admitted again: un-count it, per tenant too.
     --metrics.requestsAdmitted;
     const int t = tenantOf(request_index);
@@ -1072,17 +1073,61 @@ ClusterSimulator::churnSchedule() const
     return churn;
 }
 
+ClusterSimulator::ArrivalStream::ArrivalStream(
+    const std::vector<trace::Request> &request_list)
+    : list(request_list)
+{
+    auto at = [this](size_t i) {
+        return std::max(list[i].arrivalS, 0.0);
+    };
+    bool sorted = true;
+    for (size_t i = 0; i < list.size(); ++i) {
+        HELIX_ASSERT(std::isfinite(list[i].arrivalS));
+        if (i > 0 && at(i) < at(i - 1))
+            sorted = false;
+    }
+    if (sorted)
+        return;
+    order.resize(list.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<int>(i);
+    // (clamped time, request index): eventBefore's key for arrivals.
+    std::sort(order.begin(), order.end(), [&at](int a, int b) {
+        return std::make_pair(at(static_cast<size_t>(a)), a) <
+               std::make_pair(at(static_cast<size_t>(b)), b);
+    });
+}
+
+size_t
+ClusterSimulator::ArrivalStream::indexAt(size_t k) const
+{
+    return order.empty() ? k : static_cast<size_t>(order[k]);
+}
+
+double
+ClusterSimulator::ArrivalStream::headTime() const
+{
+    if (next == list.size())
+        return std::numeric_limits<double>::infinity();
+    return std::max(list[indexAt(next)].arrivalS, 0.0);
+}
+
+ClusterSimulator::Event
+ClusterSimulator::ArrivalStream::popEvent()
+{
+    HELIX_ASSERT(next < list.size());
+    Event event;
+    event.kind = Event::Kind::Arrival;
+    event.time = headTime();
+    event.item.request = static_cast<int>(indexAt(next));
+    ++next;
+    return event;
+}
+
 void
 ClusterSimulator::runSerialLoop(const std::vector<ChurnEvent> &churn,
-                                double end_time)
+                                double end_time, ArrivalStream &arrivals)
 {
-    for (size_t i = 0; i < requests.size(); ++i) {
-        double at = requests[i].request.arrivalS;
-        Event ev;
-        ev.kind = Event::Kind::Arrival;
-        ev.item.request = static_cast<int>(i);
-        scheduleEvent(std::max(at, 0.0), ev);
-    }
     for (const ChurnEvent &event : churn) {
         Event ev;
         ev.kind = event.kind == ChurnEvent::Kind::Fail
@@ -1092,13 +1137,26 @@ ClusterSimulator::runSerialLoop(const std::vector<ChurnEvent> &churn,
         scheduleEvent(event.atSeconds, ev);
     }
 
-    while (!events.empty()) {
-        Event top = events.top();
-        if (top.time > end_time)
+    for (;;) {
+        // Arrival ranks first among equal-time events and the queue
+        // holds none, so a tie goes to the stream.
+        const double arrival_at = arrivals.headTime();
+        const bool from_queue =
+            !events.empty() && events.top().time < arrival_at;
+        if (!from_queue && std::isinf(arrival_at))
+            break; // Both sources are empty.
+        const double at = from_queue ? events.top().time : arrival_at;
+        if (at > end_time)
             break;
-        events.pop();
-        now = top.time;
-        dispatch(top);
+        Event ev;
+        if (from_queue) {
+            ev = events.top();
+            events.pop();
+        } else {
+            ev = arrivals.popEvent();
+        }
+        now = at;
+        dispatch(ev);
     }
     // Drain the queue so a reused simulator starts clean.
     while (!events.empty())
@@ -1109,13 +1167,25 @@ SimMetrics
 ClusterSimulator::run(const std::vector<trace::Request> &request_list)
 {
     metrics = SimMetrics{};
-    requests.clear();
-    requests.reserve(request_list.size());
-    for (const trace::Request &req : request_list) {
-        RequestState rs;
-        rs.request = req;
-        requests.push_back(std::move(rs));
+    ArrivalStream arrivals(request_list);
+    // A reused simulator starts where a fresh one does: only the
+    // configuration and the nodes' capacities outlive a run.
+    now = 0.0;
+    for (NodeState &state : nodes) {
+        NodeState fresh;
+        fresh.layersHeld = state.layersHeld;
+        fresh.kvCapacity = state.kvCapacity;
+        fresh.running = std::move(state.running);
+        fresh.running.clear();
+        state = std::move(fresh);
     }
+    for (std::vector<LinkState> &row : linkRows)
+        row.clear();
+    topoManager.reset();
+    requests.clear();
+    requests.resize(request_list.size());
+    for (size_t i = 0; i < requests.size(); ++i)
+        requests[i].request = &request_list[i];
 
     // Tenancy is active with two or more declared tenants: only then
     // do shares track the live capacity and the run report per-tenant
@@ -1162,13 +1232,16 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
         cfg.simThreads > 1 ? clusterRef.minLinkLatency() : 0.0;
     if (cfg.simThreads > 1 && lambda > 0.0 && nodes.size() > 1) {
         ParallelExecutor executor(*this, cfg.simThreads, lambda,
-                                  churn, end_time);
+                                  churn, end_time, arrivals);
         par = &executor;
         executor.run();
         par = nullptr;
     } else {
-        runSerialLoop(churn, end_time);
+        runSerialLoop(churn, end_time, arrivals);
     }
+    // The request states point into the caller's list: none may
+    // outlive this call.
+    requests = std::vector<RequestState>();
 
     metrics.simulatedSeconds = cfg.measureSeconds;
     long prompt_tokens = 0;

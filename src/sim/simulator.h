@@ -29,7 +29,10 @@
  *
  * The event queue holds small trivially-copyable tagged-union events
  * (no std::function, no per-event heap allocation); batch vectors are
- * owned by the node states and reused across iterations.
+ * owned by the node states and reused across iterations. Arrivals are
+ * never queued: they stream from the caller's request list
+ * (ClusterSimulator::ArrivalStream), so the queue holds only events
+ * already in flight.
  */
 
 #ifndef HELIX_SIM_SIMULATOR_H
@@ -332,7 +335,11 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     ~ClusterSimulator();
 
-    /** Run to completion of the measurement window. */
+    /**
+     * Run to completion of the measurement window. The request list is
+     * read in place, not copied, for the duration of the call; every
+     * arrival time must be finite (asserted).
+     */
     HELIX_CONTEXT_DISPATCH
     SimMetrics run(const std::vector<trace::Request> &requests);
 
@@ -445,6 +452,43 @@ class ClusterSimulator : public scheduler::SchedulerContext
         }
     };
 
+    /**
+     * The run's Arrival events, streamed instead of queued: request
+     * indices in eventBefore order for arrivals (arrival time clamped
+     * at 0, then request index). Arrival ranks first among equal-time
+     * events and no queue holds one, so an event loop that dispatches
+     * the stream head whenever its time is <= the queue top's runs
+     * exactly the sequence of a queue seeded with every arrival. A
+     * list already in that order (every generated trace) is walked in
+     * place; only an unsorted one pays for an index permutation.
+     * Refers to the caller's list, so it lives inside run() only.
+     */
+    class ArrivalStream
+    {
+      public:
+        /** Asserts every arrival time is finite: a NaN would break
+         *  the strict weak order the sort and the merge rely on. */
+        explicit ArrivalStream(
+            const std::vector<trace::Request> &request_list);
+
+        /** Event time of the next arrival; +inf when none is left. */
+        HELIX_COORDINATOR_ONLY
+        double headTime() const;
+
+        /** Consume the next arrival as its Arrival event. */
+        HELIX_COORDINATOR_ONLY
+        Event popEvent();
+
+      private:
+        /** Request index of the @p k-th arrival in stream order. */
+        size_t indexAt(size_t k) const;
+
+        const std::vector<trace::Request> &list;
+        /** Stream order; empty when the list is already in order. */
+        std::vector<int> order;
+        size_t next = 0;
+    };
+
     struct NodeState
     {
         std::deque<WorkItem> queue;
@@ -493,7 +537,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     struct RequestState
     {
-        trace::Request request;
+        /** The caller's request (an element of the list run() was
+         *  given); valid only while that run() executes. */
+        const trace::Request *request = nullptr;
         scheduler::Pipeline pipeline;
         /**
          * KV bytes this request has actually written at each pipeline
@@ -509,6 +555,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
         bool restartedEver = false;
         /** Prompt completion already counted toward throughput. */
         bool promptCounted = false;
+        /** A Preempt event for this request is in flight; suppresses
+         *  duplicate victim selection until it lands. */
+        bool preemptScheduled = false;
         int generated = 0;
         /** High-water mark of generated across restarts: only tokens
          *  beyond it are new output (not churn regeneration). */
@@ -516,9 +565,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
         uint32_t epoch = 0;
         double firstTokenTime = -1.0;
         double finishTime = -1.0;
-        /** A Preempt event for this request is in flight; suppresses
-         *  duplicate victim selection until it lands. */
-        bool preemptScheduled = false;
     };
 
     struct LinkState
@@ -687,10 +733,11 @@ class ClusterSimulator : public scheduler::SchedulerContext
     std::vector<ChurnEvent> churnSchedule() const;
 
     /** The original single-threaded event loop (also the reference
-     *  the differential harness compares the executor against). */
+     *  the differential harness compares the executor against): it
+     *  merges the arrival stream with the event queue. */
     HELIX_CHURN_BARRIER_ONLY
     void runSerialLoop(const std::vector<ChurnEvent> &churn,
-                       double end_time);
+                       double end_time, ArrivalStream &arrivals);
 
     /** Coordinator-visible node state, read through the parallel
      *  executor's mirror during the coordinator phase so scheduler
@@ -710,6 +757,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
     std::priority_queue<Event, std::vector<Event>, EventOrder> events;
 
     std::vector<NodeState> nodes;
+    /** Per-request state of the current run, indexed like the list
+     *  run() was given; emptied before run() returns, so no pointer
+     *  into the caller's list outlives the call. */
     std::vector<RequestState> requests;
     /**
      * Link state per source endpoint (index from + 1, row 0 = the

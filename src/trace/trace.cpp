@@ -221,6 +221,9 @@ TraceGenerator::generate(double duration_s, ArrivalProcess &arrivals)
             break;
         requests.push_back(makeRequest(id++, t));
     }
+    // The count is known only now: drop growth's spare capacity (up
+    // to one element per request) at the cost of one copy.
+    requests.shrink_to_fit();
     return requests;
 }
 

@@ -187,7 +187,7 @@ class TraceGenerator
 
     /**
      * Generate requests arriving over [0, duration_s) according to
-     * @p arrivals.
+     * @p arrivals. The vector's capacity equals its size.
      */
     std::vector<Request> generate(double duration_s,
                                   ArrivalProcess &arrivals);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "cluster/cluster.h"
@@ -126,6 +127,21 @@ TEST_F(SimFixture, EmptyTraceYieldsZeroMetrics)
     auto metrics = sim.run({});
     EXPECT_EQ(metrics.requestsArrived, 0);
     EXPECT_DOUBLE_EQ(metrics.decodeThroughput, 0.0);
+}
+
+TEST_F(SimFixture, NonFiniteArrivalTimeIsRejected)
+{
+    // A NaN arrival has no place in the event order (eventBefore is a
+    // strict weak order only over comparable times); a list built in
+    // code must not slip one past the trace parser's check.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    std::vector<trace::Request> requests = makeRequests(20, 5.0);
+    requests[7].arrivalS = std::numeric_limits<double>::quiet_NaN();
+    scheduler::HelixScheduler sched(*topo);
+    ClusterSimulator sim(clusterSpec, *profiler, placement, sched);
+    EXPECT_DEATH((void)sim.run(requests), "isfinite");
+    requests[7].arrivalS = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH((void)sim.run(requests), "isfinite");
 }
 
 TEST_F(SimFixture, NodeStatsPopulated)

@@ -19,8 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,6 +38,7 @@
 #include "scheduler/scheduler.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
+#include "util/random.h"
 
 namespace helix {
 namespace sim {
@@ -343,6 +348,212 @@ TEST(SimDifferential, ParallelMatchesSerialByteForByte)
         }
     }
     SUCCEED() << instances << " differential instances";
+}
+
+/** FNV-1a of a fingerprint: pins a whole SimMetrics in one literal. */
+uint64_t
+fnv1a(const std::string &text)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/**
+ * Fixture of the arrival-order cases: a 16-node two-tier cluster
+ * planned with Swarm (positive link latencies, so sim_threads > 1
+ * really runs the sharded executor) and a 100-request Poisson trace
+ * that the cases below reorder, tie and shift.
+ */
+struct ArrivalFixture
+{
+    cluster::ClusterSpec clus;
+    model::TransformerSpec model = model::catalog::llama30b();
+    cluster::Profiler profiler{model};
+    placement::ModelPlacement placement;
+    std::unique_ptr<placement::PlacementGraph> graph;
+    std::unique_ptr<scheduler::Topology> topo;
+    std::vector<trace::Request> base;
+
+    ArrivalFixture()
+    {
+        cluster::gen::GeneratorConfig gen_config;
+        gen_config.preset = "two-tier";
+        gen_config.numNodes = 16;
+        gen_config.seed = 42;
+        clus = *cluster::gen::generate(gen_config);
+        placement = placement::SwarmPlanner().plan(clus, profiler);
+        graph = std::make_unique<placement::PlacementGraph>(
+            clus, profiler, placement);
+        topo = std::make_unique<scheduler::Topology>(clus, profiler,
+                                                     placement, *graph);
+        base = makeTrace({"two-tier", 16, Scenario::Offline, 100, 6.0},
+                         5);
+    }
+};
+
+const ArrivalFixture &
+arrivalFixture()
+{
+    static const ArrivalFixture fixture;
+    return fixture;
+}
+
+/** Deterministic Fisher-Yates shuffle of the list (ids move along,
+ *  so request index and id disagree afterwards). */
+std::vector<trace::Request>
+shuffled(std::vector<trace::Request> requests, uint64_t seed)
+{
+    Rng rng(seed);
+    for (size_t i = requests.size(); i > 1; --i)
+        std::swap(requests[i - 1], requests[rng.nextBounded(i)]);
+    return requests;
+}
+
+/** Arrival times floored to whole seconds: about six requests share
+ *  every instant, so ties fall through to the request index. */
+std::vector<trace::Request>
+tied(std::vector<trace::Request> requests)
+{
+    for (trace::Request &req : requests)
+        req.arrivalS = std::floor(req.arrivalS);
+    return requests;
+}
+
+/** An 18 s run: the sharded executor rounds on the 1 ms minimum link
+ *  latency, so the horizon sets the parallel runs' cost. */
+SimConfig
+arrivalSimConfig(int sim_threads)
+{
+    SimConfig config;
+    config.warmupSeconds = 2.0;
+    config.measureSeconds = 16.0;
+    config.collectLinkStats = true;
+    config.simThreads = sim_threads;
+    return config;
+}
+
+struct ArrivalCase
+{
+    const char *name;
+    std::vector<trace::Request> requests;
+    std::vector<ChurnEvent> churn;
+    /** FNV-1a of the serial fingerprint, computed with the event loop
+     *  that queued every arrival up front. */
+    uint64_t pinned;
+};
+
+std::vector<ArrivalCase>
+arrivalCases()
+{
+    const std::vector<trace::Request> &base = arrivalFixture().base;
+    std::vector<ArrivalCase> cases;
+    cases.push_back({"sorted", base, {}, 0x55d5ae20d8dafe0dULL});
+    // Without exact ties the request index decides nothing, so the
+    // shuffled list must reproduce the sorted run bit for bit.
+    cases.push_back(
+        {"unsorted", shuffled(base, 17), {}, 0x55d5ae20d8dafe0dULL});
+    const std::vector<trace::Request> ties = tied(base);
+    cases.push_back({"ties", ties, {}, 0xd2acd13c6a0d11e8ULL});
+    cases.push_back(
+        {"ties-unsorted", shuffled(ties, 23), {}, 0x2a9864ee8eca0012ULL});
+    // Negative arrivals clamp to t = 0: a sorted negative prefix, and
+    // one late entry whose clamp puts it out of list order.
+    std::vector<trace::Request> negative = base;
+    for (size_t i = 0; i < 8; ++i)
+        negative[i].arrivalS = -0.5 * static_cast<double>(8 - i);
+    negative[40].arrivalS = -1.0;
+    cases.push_back({"negative", negative, {}, 0xced4839858a4b3d3ULL});
+    // Churn at instants where requests arrive (taken from the trace
+    // itself): each tie must put the arrivals ahead of the fail or
+    // recover event.
+    const double fail_at = ties[40].arrivalS;
+    const double recover_at = ties[70].arrivalS;
+    cases.push_back({"churn-tie",
+                     ties,
+                     {{ChurnEvent::Kind::Fail, 1, fail_at},
+                      {ChurnEvent::Kind::Recover, 1, recover_at},
+                      {ChurnEvent::Kind::Fail, 8, recover_at}},
+                     0xe19dd75a587408e2ULL});
+    cases.push_back({"empty", {}, {}, 0x65d6e5909162e70fULL});
+    return cases;
+}
+
+SimMetrics
+runArrivalCase(const ArrivalCase &arrival_case, int sim_threads)
+{
+    const ArrivalFixture &fx = arrivalFixture();
+    SimConfig config = arrivalSimConfig(sim_threads);
+    config.churnEvents = arrival_case.churn;
+    scheduler::HelixScheduler sched(*fx.topo);
+    ClusterSimulator simulator(fx.clus, fx.profiler, fx.placement, sched,
+                               config);
+    return simulator.run(arrival_case.requests);
+}
+
+TEST(SimArrivalOrder, CasesMatchAcrossThreadsAndPinned)
+{
+    const std::vector<ArrivalCase> cases = arrivalCases();
+    for (const ArrivalCase &arrival_case : cases) {
+        SimMetrics serial = runArrivalCase(arrival_case, 1);
+        const std::string serial_print = fingerprint(serial);
+        if (!arrival_case.requests.empty()) {
+            EXPECT_GT(serial.requestsCompleted, 0) << arrival_case.name;
+        }
+        EXPECT_EQ(serial.requestsArrived,
+                  static_cast<long>(arrival_case.requests.size()))
+            << arrival_case.name;
+        EXPECT_EQ(fnv1a(serial_print), arrival_case.pinned)
+            << arrival_case.name << "\n" << serial_print;
+        for (int threads : {2, 4}) {
+            EXPECT_EQ(serial_print,
+                      fingerprint(runArrivalCase(arrival_case, threads)))
+                << arrival_case.name << " sim_threads=" << threads;
+        }
+    }
+}
+
+TEST(SimArrivalOrder, ReusedSimulatorMatchesFreshOne)
+{
+    // A second run() on one simulator must equal a fresh simulator's
+    // run on the same scheduler (the scheduler keeps its own state
+    // across runs): nothing of the first run's trace, clock, node,
+    // link or live-topology state may leak into the second.
+    const ArrivalFixture &fx = arrivalFixture();
+    const std::vector<ArrivalCase> cases = arrivalCases();
+    const ArrivalCase &first = cases[5];  // churn-tie
+    const ArrivalCase &second = cases[1]; // unsorted
+    // FNV-1a of the second run's fingerprint, computed with fresh
+    // simulators and the event loop that queued every arrival.
+    constexpr uint64_t kSecondRunPinned = 0x809a9a7a4facec3eULL;
+    for (int threads : {1, 2, 4}) {
+        SimConfig config = arrivalSimConfig(threads);
+        config.churnEvents = first.churn;
+        std::string fresh_print;
+        {
+            scheduler::HelixScheduler sched(*fx.topo);
+            ClusterSimulator before(fx.clus, fx.profiler, fx.placement,
+                                    sched, config);
+            (void)before.run(first.requests);
+            ClusterSimulator fresh(fx.clus, fx.profiler, fx.placement,
+                                   sched, config);
+            fresh_print = fingerprint(fresh.run(second.requests));
+        }
+        scheduler::HelixScheduler sched(*fx.topo);
+        ClusterSimulator simulator(fx.clus, fx.profiler, fx.placement,
+                                   sched, config);
+        EXPECT_EQ(fnv1a(fingerprint(simulator.run(first.requests))),
+                  first.pinned)
+            << "sim_threads=" << threads;
+        const std::string reused_print =
+            fingerprint(simulator.run(second.requests));
+        EXPECT_EQ(reused_print, fresh_print) << "sim_threads=" << threads;
+        EXPECT_EQ(fnv1a(reused_print), kSecondRunPinned)
+            << "sim_threads=" << threads << "\n" << reused_print;
+    }
 }
 
 } // namespace

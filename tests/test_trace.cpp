@@ -140,6 +140,19 @@ TEST(TraceGenerator, GenerateCountExact)
     EXPECT_EQ(requests.size(), 123u);
 }
 
+TEST(TraceGenerator, TracesCarryNoSpareCapacity)
+{
+    // A held trace costs exactly its requests, not the spare half of
+    // a growth-doubled buffer.
+    TraceGenerator gen(11);
+    PoissonArrivals arrivals(10.0);
+    auto timed = gen.generate(102.5, arrivals);
+    ASSERT_GT(timed.size(), 0u);
+    EXPECT_EQ(timed.capacity(), timed.size());
+    auto counted = gen.generateCount(1025, arrivals);
+    EXPECT_EQ(counted.capacity(), counted.size());
+}
+
 TEST(TraceGenerator, DeterministicForSeed)
 {
     TraceGenerator a(5);
