@@ -142,8 +142,8 @@ offlineRun(const Scale &scale, uint64_t seed = 42)
 {
     RunConfig run;
     run.online = false;
-    run.warmupSeconds = scale.offlineWarmupS;
-    run.measureSeconds = scale.offlineMeasureS;
+    run.sim.warmupSeconds = scale.offlineWarmupS;
+    run.sim.measureSeconds = scale.offlineMeasureS;
     run.seed = seed;
     return run;
 }

@@ -47,7 +47,7 @@ runSetting(const cluster::ClusterSpec &clus, const char *setting,
     for (SchedulerKind kind : kinds) {
         auto sched = makeScheduler(dep, kind);
         RunConfig run = offlineRun(scale);
-        run.collectLinkStats = true;
+        run.sim.collectLinkStats = true;
         SystemResult row;
         row.system = toString(kind);
         row.plannedThroughput = dep.plannedThroughput();

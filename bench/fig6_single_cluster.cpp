@@ -7,7 +7,7 @@
  * The comparison is a declarative spec over the shared experiment
  * engine — examples/fig6.exp is the same configuration as a text
  * file, so `helixctl run examples/fig6.exp` executes the identical
- * code path as this binary with `--smoke`.
+ * code path as this binary with HELIX_BENCH_FAST=1.
  *
  * Paper reference points: for 70B, Helix achieves 2.14x (offline) /
  * 2.07x (online) Swarm's decode throughput and 1.86x / 1.69x SP's;

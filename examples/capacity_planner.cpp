@@ -94,8 +94,8 @@ main()
         }
         RunConfig run;
         run.online = false;
-        run.warmupSeconds = 30.0;
-        run.measureSeconds = 90.0;
+        run.sim.warmupSeconds = 30.0;
+        run.sim.measureSeconds = 90.0;
         auto sched = makeScheduler(deployment, SchedulerKind::Helix);
         auto metrics = runExperiment(deployment, *sched, run);
         std::printf("%-14s %10.0f %12.0f %14.1f %16.2f\n",

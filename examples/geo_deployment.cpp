@@ -69,8 +69,8 @@ main()
     // Offline saturation first to find the peak...
     RunConfig offline;
     offline.online = false;
-    offline.warmupSeconds = 30.0;
-    offline.measureSeconds = 90.0;
+    offline.sim.warmupSeconds = 30.0;
+    offline.sim.measureSeconds = 90.0;
     auto offline_sched = makeScheduler(deployment, SchedulerKind::Helix);
     auto offline_metrics =
         runExperiment(deployment, *offline_sched, offline);
@@ -82,8 +82,8 @@ main()
     // ...then online serving at 75% of that peak (Sec. 6.2's rule).
     RunConfig online;
     online.online = true;
-    online.warmupSeconds = 30.0;
-    online.measureSeconds = 90.0;
+    online.sim.warmupSeconds = 30.0;
+    online.sim.measureSeconds = 90.0;
     trace::LengthModel lengths;
     online.requestRate = 0.75 * offline_metrics.decodeThroughput /
                          lengths.targetMeanOutput;

@@ -42,8 +42,8 @@ main()
     // 4. Serve a synthetic Azure-Conversation workload, offline mode.
     RunConfig run;
     run.online = false;
-    run.warmupSeconds = 30.0;
-    run.measureSeconds = 120.0;
+    run.sim.warmupSeconds = 30.0;
+    run.sim.measureSeconds = 120.0;
 
     auto helix_sched = makeScheduler(deployment, SchedulerKind::Helix);
     sim::SimMetrics helix_metrics =

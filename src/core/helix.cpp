@@ -118,7 +118,7 @@ makeTrace(const Deployment &deployment, const RunConfig &config)
         return {};
     }
     double duration =
-        (config.warmupSeconds + config.measureSeconds) * 1.02;
+        (config.sim.warmupSeconds + config.sim.measureSeconds) * 1.02;
     trace::TraceGenerator generator(config.seed, config.lengths);
     ArrivalKind kind = config.arrivals;
     if (kind == ArrivalKind::Auto)
@@ -155,18 +155,18 @@ makeTrace(const Deployment &deployment, const RunConfig &config)
     // generator's) and only when tenancy is active: arrival times and
     // lengths consume exactly the same draws as before, so traces of
     // runs without tenants (or with one) stay byte-identical.
-    if (config.tenants.size() >= 2 && !requests.empty()) {
+    const std::vector<scheduler::Tenant> &tenants = config.sim.tenants;
+    if (tenants.size() >= 2 && !requests.empty()) {
         // Mixes are all-or-none (the spec parser enforces it and that
         // they sum to 1); unset mixes fall back weight-proportional.
-        std::vector<double> cumulative(config.tenants.size(), 0.0);
-        bool explicit_mix = config.tenants.front().mix >= 0.0;
+        std::vector<double> cumulative(tenants.size(), 0.0);
+        bool explicit_mix = tenants.front().mix >= 0.0;
         double total = 0.0;
-        for (const scheduler::Tenant &tenant : config.tenants)
+        for (const scheduler::Tenant &tenant : tenants)
             total += explicit_mix ? tenant.mix : tenant.weight;
         double acc = 0.0;
-        for (size_t t = 0; t < config.tenants.size(); ++t) {
-            acc += (explicit_mix ? config.tenants[t].mix
-                                 : config.tenants[t].weight) /
+        for (size_t t = 0; t < tenants.size(); ++t) {
+            acc += (explicit_mix ? tenants[t].mix : tenants[t].weight) /
                    total;
             cumulative[t] = acc;
         }
@@ -189,20 +189,9 @@ runExperiment(const Deployment &deployment,
               scheduler::RequestScheduler &scheduler,
               const RunConfig &config)
 {
-    sim::SimConfig sim_config;
-    sim_config.warmupSeconds = config.warmupSeconds;
-    sim_config.measureSeconds = config.measureSeconds;
-    sim_config.collectLinkStats = config.collectLinkStats;
-    sim_config.churnEvents = config.churnEvents;
-    sim_config.driftThreshold = config.driftThreshold;
-    sim_config.nodeSlowdown = config.nodeSlowdown;
-    sim_config.simThreads = config.simThreads;
-    sim_config.tenants = config.tenants;
-    sim_config.starvationTolerance = config.starvationTolerance;
-    sim_config.preemptionTimeoutS = config.preemptionTimeoutS;
     sim::ClusterSimulator simulator(
         deployment.clusterSpec(), deployment.profiler(),
-        deployment.placement(), scheduler, sim_config);
+        deployment.placement(), scheduler, config.sim);
     auto requests = makeTrace(deployment, config);
     return simulator.run(requests);
 }

@@ -23,7 +23,6 @@
 #include "cluster/profiler.h"
 #include "placement/helix_planner.h"
 #include "placement/planners.h"
-#include "scheduler/fair_share.h"
 #include "scheduler/scheduler.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
@@ -126,10 +125,7 @@ struct RunConfig
      * 75% of the measured offline peak (Sec. 6.2).
      */
     double requestRate = 0.0;
-    double warmupSeconds = 60.0;
-    double measureSeconds = 240.0;
     uint64_t seed = 42;
-    bool collectLinkStats = false;
     trace::LengthModel lengths;
     /** Arrival process; Auto preserves the historical online/offline
      *  mapping (diurnal when online, Poisson otherwise). */
@@ -141,32 +137,10 @@ struct RunConfig
     double burstMultiplier = 5.0;
     double burstMeanS = 30.0;
     double burstGapS = 270.0;
-    /** Churn event schedule (fail/recover, absolute seconds),
-     *  forwarded to sim::SimConfig::churnEvents. Each event repairs
-     *  max-flow on the surviving subgraph and swaps the fresh
-     *  topology into the scheduler. */
-    std::vector<sim::ChurnEvent> churnEvents;
-    /** Drift-triggered re-solve threshold in (0, 1); 0 disables
-     *  (sim::SimConfig::driftThreshold). */
-    double driftThreshold = 0.0;
-    /** Per-node batch slowdown multipliers modeling unprofiled
-     *  degradation (sim::SimConfig::nodeSlowdown). */
-    std::vector<double> nodeSlowdown;
-    /** Worker threads for the sharded deterministic event loop
-     *  (sim::SimConfig::simThreads). 1 = reference serial loop; any
-     *  value yields byte-identical results. */
-    int simThreads = 1;
-    /** Tenant classes for fair-share serving. Two or more activate
-     *  admission arbitration and tenant-labeled trace generation
-     *  (sim::SimConfig::tenants); fewer run one implicit FIFO
-     *  tenant, byte-identical to untenanted serving. */
-    std::vector<scheduler::Tenant> tenants;
-    /** Fair-share starvation tolerance in [0, 1]
-     *  (sim::SimConfig::starvationTolerance). */
-    double starvationTolerance = 0.8;
-    /** Continuous starvation seconds before a preemption
-     *  (sim::SimConfig::preemptionTimeoutS). */
-    double preemptionTimeoutS = 5.0;
+    /** The simulator's own settings, handed to it unchanged. The
+     *  trace spans its warmup + measure windows, and two or more
+     *  tenants also label the trace's requests. */
+    sim::SimConfig sim;
 };
 
 /**

@@ -20,83 +20,6 @@
 namespace helix {
 namespace exp {
 
-RunConfig
-Scenario::toRun(double warmup_s, double measure_s,
-                uint64_t seed) const
-{
-    RunConfig run;
-    run.online = online;
-    run.utilization = utilization;
-    run.warmupSeconds = warmup_s;
-    run.measureSeconds = measure_s;
-    run.seed = seed;
-    run.arrivals = arrivals;
-    run.burstMultiplier = burstMultiplier;
-    run.burstMeanS = burstMeanS;
-    run.burstGapS = burstGapS;
-    run.driftThreshold = driftThreshold;
-    run.churnEvents.reserve(churnSchedule.size());
-    for (const ChurnEventFrac &event : churnSchedule) {
-        run.churnEvents.push_back(
-            {event.kind, event.node,
-             event.atFraction * (warmup_s + measure_s)});
-    }
-    return run;
-}
-
-namespace scenarios {
-
-Scenario
-offline()
-{
-    Scenario s;
-    s.name = "offline";
-    return s;
-}
-
-Scenario
-onlineDiurnal()
-{
-    Scenario s;
-    s.name = "online-diurnal";
-    s.online = true;
-    return s;
-}
-
-Scenario
-bursty(double burst_multiplier, double mean_burst_s,
-       double mean_gap_s)
-{
-    Scenario s;
-    s.name = "bursty";
-    s.online = true;
-    s.arrivals = ArrivalKind::Bursty;
-    s.burstMultiplier = burst_multiplier;
-    s.burstMeanS = mean_burst_s;
-    s.burstGapS = mean_gap_s;
-    return s;
-}
-
-Scenario
-churnSchedule(std::vector<Scenario::ChurnEventFrac> events,
-              bool online_mode)
-{
-    Scenario s;
-    s.name = "node-churn";
-    s.online = online_mode;
-    s.churnSchedule = std::move(events);
-    return s;
-}
-
-std::vector<Scenario>
-all()
-{
-    return {offline(), onlineDiurnal(), bursty(),
-            churnSchedule({{sim::ChurnEvent::Kind::Fail, 0, 0.3}})};
-}
-
-} // namespace scenarios
-
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
     : opts(options)
 {
@@ -181,66 +104,6 @@ ExperimentRunner::run(const std::vector<Job> &jobs) const
     }
     runTasks(tasks);
     return results;
-}
-
-std::vector<JobResult>
-runSweep(const SweepConfig &sweep, RunnerOptions options)
-{
-    // Plan each (cluster, model, planner) deployment once; all its
-    // jobs share it const.
-    std::vector<std::unique_ptr<Deployment>> deployments;
-    std::vector<Job> jobs;
-    for (const std::string &cluster_name : sweep.clusters) {
-        auto clus = clusterByName(cluster_name);
-        if (!clus) {
-            HELIX_WARN("unknown cluster '%s'; skipping",
-                       cluster_name.c_str());
-            continue;
-        }
-        for (const std::string &model_name : sweep.models) {
-            auto model_spec = modelByName(model_name);
-            if (!model_spec) {
-                HELIX_WARN("unknown model '%s'; skipping",
-                           model_name.c_str());
-                continue;
-            }
-            for (const std::string &planner_name : sweep.planners) {
-                auto planner = plannerByName(planner_name,
-                                             sweep.plannerBudgetS);
-                if (!planner) {
-                    HELIX_WARN("unknown planner '%s'; skipping",
-                               planner_name.c_str());
-                    continue;
-                }
-                deployments.push_back(std::make_unique<Deployment>(
-                    *clus, *model_spec, *planner));
-                const Deployment *dep = deployments.back().get();
-                for (const std::string &sched_name :
-                     sweep.schedulers) {
-                    auto kind = schedulerKindByName(sched_name);
-                    if (!kind) {
-                        HELIX_WARN("unknown scheduler '%s'; skipping",
-                                   sched_name.c_str());
-                        continue;
-                    }
-                    for (const Scenario &scenario : sweep.scenarios) {
-                        Job job;
-                        job.label = cluster_name + "/" + model_name +
-                                    "/" + planner_name + "/" +
-                                    sched_name + "/" + scenario.name;
-                        job.deployment = dep;
-                        job.scheduler = *kind;
-                        job.run = scenario.toRun(sweep.warmupSeconds,
-                                                 sweep.measureSeconds,
-                                                 sweep.seed);
-                        jobs.push_back(std::move(job));
-                    }
-                }
-            }
-        }
-    }
-    ExperimentRunner runner(options);
-    return runner.run(jobs);
 }
 
 namespace {

@@ -1,16 +1,16 @@
 /**
  * @file
- * Experiment-runner subsystem: declarative sweeps over
+ * Experiment-runner subsystem: simulation jobs over
  * (cluster x placement x scheduler x trace scenario) configurations,
- * executed on a thread pool with structured JSON/CSV output.
+ * executed on a thread pool with structured JSON/CSV output, plus
+ * the name registries that `experiment v1` specs resolve against.
  *
- * The per-figure bench binaries are thin configs over this engine:
- * they declare the systems under test and hand the jobs to
- * ExperimentRunner, which runs each ClusterSimulator instance on its
- * own worker. Every job is self-contained (its own scheduler and
- * simulator over a shared const Deployment), so results are
- * byte-identical to invoking runExperiment() directly, regardless of
- * thread count or completion order.
+ * Specs (exp/spec.h) expand into jobs here; ExperimentRunner runs
+ * each ClusterSimulator instance on its own worker. Every job is
+ * self-contained (its own scheduler and simulator over a shared const
+ * Deployment), so results are byte-identical to invoking
+ * runExperiment() directly, regardless of thread count or completion
+ * order.
  */
 
 #ifndef HELIX_EXP_EXPERIMENT_H
@@ -26,71 +26,6 @@
 
 namespace helix {
 namespace exp {
-
-/**
- * A named trace/failure scenario. The catalog below provides the
- * standard entries; sweeps may also construct their own.
- */
-struct Scenario
-{
-    std::string name = "offline";
-    /** Arrival process (Auto = online ? diurnal : poisson). */
-    ArrivalKind arrivals = ArrivalKind::Auto;
-    /** Online mode: diurnal default arrivals, 75% utilization. */
-    bool online = false;
-    /** Arrival rate as a fraction of planned peak (0 = mode default). */
-    double utilization = 0.0;
-    /** Burst shape for ArrivalKind::Bursty. */
-    double burstMultiplier = 5.0;
-    double burstMeanS = 30.0;
-    double burstGapS = 270.0;
-    /** One churn event at a fraction of the run horizon. */
-    struct ChurnEventFrac
-    {
-        sim::ChurnEvent::Kind kind = sim::ChurnEvent::Kind::Fail;
-        int node = -1;
-        double atFraction = 0.0;
-    };
-    /**
-     * Churn event schedule (fail/recover): each event lands at
-     * atFraction * (warmup + measure) seconds in
-     * RunConfig::churnEvents.
-     */
-    std::vector<ChurnEventFrac> churnSchedule;
-    /** Drift-triggered re-solve threshold (`drift=<fraction>` spec
-     *  key); 0 disables. */
-    double driftThreshold = 0.0;
-
-    /** Materialize as a RunConfig at the given scale. */
-    [[nodiscard]] RunConfig toRun(double warmup_s, double measure_s,
-                                  uint64_t seed) const;
-};
-
-/** The standard scenario catalog (see README "Scenario catalog"). */
-namespace scenarios {
-
-/** Saturating Poisson arrivals (the paper's offline setting). */
-Scenario offline();
-
-/** Diurnally modulated arrivals at 75% utilization (online). */
-Scenario onlineDiurnal();
-
-/** MMPP bursts: quiet baseline punctuated by arrival spikes. */
-Scenario bursty(double burst_multiplier = 5.0,
-                double mean_burst_s = 30.0,
-                double mean_gap_s = 270.0);
-
-/**
- * Churn with an explicit fail/recover schedule (fractions of the run
- * horizon, in non-decreasing time order).
- */
-Scenario churnSchedule(
-    std::vector<Scenario::ChurnEventFrac> events, bool online = true);
-
-/** All catalog entries (churn: node 0 fails at 30%). */
-std::vector<Scenario> all();
-
-} // namespace scenarios
 
 /** One unit of work: simulate a deployment under one configuration. */
 struct Job
@@ -152,33 +87,6 @@ class ExperimentRunner
   private:
     RunnerOptions opts;
 };
-
-/**
- * Declarative sweep: the cartesian product of clusters, models,
- * planners, schedulers, and scenarios. Each (cluster, model, planner)
- * deployment is planned once and shared (const) by all its jobs.
- */
-struct SweepConfig
-{
-    /** Cluster registry names (see clusterByName). */
-    std::vector<std::string> clusters;
-    /** Model registry names (see modelByName). */
-    std::vector<std::string> models;
-    /** Planner names (see plannerByName). */
-    std::vector<std::string> planners;
-    /** Scheduler names (helix, swarm, random, shortest-queue,
-     *  fixed-rr). */
-    std::vector<std::string> schedulers;
-    std::vector<Scenario> scenarios;
-    double plannerBudgetS = 2.0;
-    double warmupSeconds = 30.0;
-    double measureSeconds = 120.0;
-    uint64_t seed = 42;
-};
-
-/** Expand and execute a sweep. */
-[[nodiscard]] std::vector<JobResult> runSweep(const SweepConfig &sweep,
-                                RunnerOptions options = {});
 
 /** Structured emitters for downstream analysis/plotting. */
 [[nodiscard]] std::string resultsToJson(const std::vector<JobResult> &results);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/logging.h"
+
 namespace helix {
 namespace exp {
 
@@ -198,46 +200,21 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
                   const io::ScenarioSpec &scenario,
                   double offline_peak)
 {
-    Scenario catalog;
-    if (scenario.kind == "offline") {
-        catalog = scenarios::offline();
-    } else if (scenario.kind == "online") {
-        catalog = scenarios::onlineDiurnal();
-    } else if (scenario.kind == "bursty") {
-        catalog = scenarios::bursty(scenario.get("multiplier", 5.0),
-                                    scenario.get("burst", 30.0),
-                                    scenario.get("gap", 270.0));
-    } else if (scenario.kind == "churn") {
-        bool online_mode = scenario.get("online", 1.0) != 0.0;
-        std::vector<Scenario::ChurnEventFrac> events;
-        events.reserve(scenario.events.size());
-        for (const io::ChurnEventSpec &event : scenario.events) {
-            events.push_back({event.fail ? sim::ChurnEvent::Kind::Fail
-                                         : sim::ChurnEvent::Kind::Recover,
-                              event.node, event.atFraction});
-        }
-        catalog = scenarios::churnSchedule(std::move(events),
-                                           online_mode);
-        catalog.driftThreshold = scenario.get("drift", 0.0);
-    } else { // online-peak
-        catalog.name = "online-peak";
-        catalog.online = true;
-    }
-    catalog.utilization = scenario.get("utilization", 0.0);
-
-    double warmup = scenario.get("warmup", spec.warmupS);
-    double measure = scenario.get("measure", spec.measureS);
-    uint64_t seed = static_cast<uint64_t>(
+    RunConfig run;
+    run.online = scenario.kind != "offline";
+    run.utilization = scenario.get("utilization", 0.0);
+    run.seed = static_cast<uint64_t>(
         scenario.get("seed", static_cast<double>(spec.seed)));
-    RunConfig run = catalog.toRun(warmup, measure, seed);
+    run.sim.warmupSeconds = scenario.get("warmup", spec.warmupS);
+    run.sim.measureSeconds = scenario.get("measure", spec.measureS);
     // Purely a wall-clock knob: the sharded executor is byte-identical
     // to the serial loop, so sim-threads never alters results.
-    run.simThreads = spec.simThreads;
+    run.sim.simThreads = spec.simThreads;
     // Tenancy: two or more tenant lines activate fair-share admission
     // and tenant-labeled trace generation; zero or one leaves the run
     // byte-identical to the pre-tenancy path.
     if (spec.tenants.size() >= 2) {
-        run.tenants.reserve(spec.tenants.size());
+        run.sim.tenants.reserve(spec.tenants.size());
         for (const io::TenantSpec &tenant : spec.tenants) {
             scheduler::Tenant cls;
             cls.name = tenant.name;
@@ -245,12 +222,30 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
             cls.mix = tenant.mix;
             cls.sloTtftS = tenant.sloTtftS;
             cls.sloTpotS = tenant.sloTpotS;
-            run.tenants.push_back(std::move(cls));
+            run.sim.tenants.push_back(std::move(cls));
         }
-        run.starvationTolerance = spec.starvationTolerance;
-        run.preemptionTimeoutS = spec.preemptionTimeoutS;
+        run.sim.starvationTolerance = spec.starvationTolerance;
+        run.sim.preemptionTimeoutS = spec.preemptionTimeoutS;
     }
-    if (scenario.kind == "online-peak") {
+    if (scenario.kind == "bursty") {
+        run.arrivals = ArrivalKind::Bursty;
+        run.burstMultiplier =
+            scenario.get("multiplier", run.burstMultiplier);
+        run.burstMeanS = scenario.get("burst", run.burstMeanS);
+        run.burstGapS = scenario.get("gap", run.burstGapS);
+    } else if (scenario.kind == "churn") {
+        run.online = scenario.get("online", 1.0) != 0.0;
+        run.sim.driftThreshold = scenario.get("drift", 0.0);
+        // Each event lands at its fraction of the run horizon.
+        double horizon = run.sim.warmupSeconds + run.sim.measureSeconds;
+        run.sim.churnEvents.reserve(scenario.events.size());
+        for (const io::ChurnEventSpec &event : scenario.events) {
+            run.sim.churnEvents.push_back(
+                {event.fail ? sim::ChurnEvent::Kind::Fail
+                            : sim::ChurnEvent::Kind::Recover,
+                 event.node, event.atFraction * horizon});
+        }
+    } else if (scenario.kind == "online-peak") {
         // Sec. 6.2: the online arrival rate is `fraction` of the
         // measured offline peak, in requests/s of mean output length.
         double fraction = scenario.get("fraction", 0.75);
@@ -324,6 +319,18 @@ runSpec(const io::ExperimentSpec &spec, io::ParseError *error,
                     jobs.push_back(std::move(job));
                 }
                 std::vector<JobResult> batch = runner.run(jobs);
+                for (const JobResult &result : batch) {
+                    const sim::SimMetrics &m = result.metrics;
+                    if (m.requestsArrived == 0 ||
+                        m.requestsCompleted == 0) {
+                        HELIX_WARN("%s measured nothing (%ld arrivals, "
+                                   "%ld completions); widen its "
+                                   "warmup/measure windows",
+                                   result.label.c_str(),
+                                   m.requestsArrived,
+                                   m.requestsCompleted);
+                    }
+                }
                 if (scenario.kind == "offline" && !batch.empty()) {
                     offline_peak =
                         batch.front().metrics.decodeThroughput;

@@ -50,7 +50,9 @@ namespace exp {
  * Execute @p spec end-to-end. Results are ordered by
  * (cluster, model, scenario, system), with labels
  * "<cluster>/<model>/<system>/<scenario>". Returns nullopt and fills
- * @p error if validateSpec rejects the spec.
+ * @p error if validateSpec rejects the spec. Each row with zero
+ * arrivals or zero completions measured nothing: it gets one
+ * HELIX_WARN line on stderr and is returned unchanged.
  *
  * @p options.numThreads > 0 overrides the spec's `threads` directive.
  */

@@ -24,8 +24,8 @@
  * Job generation is either *paired* (`system` lines: each declares a
  * labeled planner+scheduler pair, as the paper's figure comparisons
  * do) or *cartesian* (`planner` and `scheduler` axis lines, crossed
- * like exp::SweepConfig). Scenario lines carry `key=value` options
- * inline (see docs/SCENARIOS.md for the catalog and semantics).
+ * into every pair). Scenario lines carry `key=value` options inline
+ * (see docs/SCENARIOS.md for the catalog and semantics).
  *
  * This header is pure syntax: names are kept as strings with their
  * source lines. Registry resolution and execution live in

@@ -10,11 +10,6 @@ namespace sim {
 
 namespace {
 
-/** Seed for the per-lane random streams. A constant (not derived from
- *  the workload) so a given lane's stream is identical across runs,
- *  thread counts, and scenarios — the golden-sequence tests pin it. */
-constexpr uint64_t kLaneStreamSeed = 0x48656c6958506172ULL;
-
 // ClusterSimulator::Event is private; ParallelLane (a friend)
 // re-exports it publicly.
 using Event = ParallelLane::Event;
@@ -82,11 +77,9 @@ ParallelExecutor::ParallelExecutor(
     numShards = std::min(kMaxShards, n);
     numWorkers = std::max(1, std::min(num_threads, numShards));
     lanes.resize(static_cast<size_t>(numShards) + 1);
-    Rng stream_base(kLaneStreamSeed);
     for (size_t i = 0; i < lanes.size(); ++i) {
         lanes[i].id = static_cast<int>(i);
         lanes[i].coordinator = i == 0;
-        lanes[i].rng = stream_base.fork(i);
     }
     laneOfNode.resize(n);
     for (int node = 0; node < n; ++node)

@@ -45,7 +45,6 @@
 
 #include "core/annotations.h"
 #include "sim/simulator.h"
-#include "util/random.h"
 
 namespace helix {
 namespace sim {
@@ -118,15 +117,6 @@ class ParallelLane
     /** Per-lane scratch for prompts deferred during batch assembly
      *  (the serial loop's deferredScratch, made shard-private). */
     std::vector<ClusterSimulator::WorkItem> scratch;
-    /**
-     * Per-lane random stream, split off the run seed via Rng::fork
-     * with the lane id as the stream index. The deterministic event
-     * order guarantees draws happen in the same sequence on every
-     * run regardless of thread count. (The current node models are
-     * fully deterministic and do not draw from it; stochastic node
-     * models must use this stream, never a shared generator.)
-     */
-    Rng rng{0};
 
     /** Stamp the lane-local sequence number and enqueue. Lanes are
      *  shard-private, so only the owning context may push. */

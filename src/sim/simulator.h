@@ -728,8 +728,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
      */
     double curTime() const;
 
-    /** Merged + filtered churn schedule (legacy pair first, then the
-     *  event list, stably ordered by time). */
+    /** The churn event list with invalid and drift entries dropped,
+     *  in declaration order. */
     std::vector<ChurnEvent> churnSchedule() const;
 
     /** The original single-threaded event loop (also the reference

@@ -200,6 +200,28 @@ TEST_F(CliTest, RunEmitsCsvByteIdenticalToTheEngine)
         EXPECT_EQ(cli_lines[i], engine_lines[i]) << "line " << i;
 }
 
+/**
+ * A run that measures nothing is flagged on stderr, once per row,
+ * while the emitted results stay unchanged: the 1/3 s smoke windows
+ * complete no request offline and see no online-peak arrival.
+ */
+TEST_F(CliTest, RunWarnsAboutRowsThatMeasureNothing)
+{
+    CmdResult result =
+        helixctl("run " + dataPath("fig6_smoke.exp") + " --csv -");
+    ASSERT_EQ(result.exitCode, 0) << result.err;
+    EXPECT_NE(result.err.find("[helix warn] single24/llama30b/swarm/"
+                              "offline measured nothing ("),
+              std::string::npos)
+        << result.err;
+    EXPECT_NE(result.err.find("[helix warn] single24/llama30b/sp/"
+                              "online-peak measured nothing (0 "
+                              "arrivals, 0 completions)"),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.out.find("measured nothing"), std::string::npos);
+}
+
 TEST_F(CliTest, RunRespectsSpecOutputOnStdout)
 {
     // sweep-style spec with output json and a '-' emitter goes to

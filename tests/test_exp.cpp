@@ -2,7 +2,7 @@
  * @file
  * Tests for the experiment-runner subsystem: runner-vs-direct
  * equivalence on the paper's three cluster setups (Fig. 6/7/8),
- * thread-count invariance, declarative sweeps, the scenario catalog,
+ * thread-count invariance, planner x scheduler spec sweeps,
  * registries, and the JSON/CSV emitters.
  */
 
@@ -13,7 +13,8 @@
 #include <functional>
 #include <stdexcept>
 
-#include "exp/experiment.h"
+#include "exp/spec.h"
+#include "io/spec.h"
 
 namespace helix {
 namespace exp {
@@ -25,8 +26,8 @@ smokeRun(bool online)
 {
     RunConfig run;
     run.online = online;
-    run.warmupSeconds = 1.0;
-    run.measureSeconds = 3.0;
+    run.sim.warmupSeconds = 1.0;
+    run.sim.measureSeconds = 3.0;
     run.seed = online ? 43 : 42;
     return run;
 }
@@ -142,15 +143,27 @@ TEST(ExperimentRunner, ResultsIndependentOfThreadCount)
     auto planner = plannerByName("swarm", 0.05);
     Deployment deployment(*clus, *model_spec, *planner);
 
+    // One job per scenario kind, materialized exactly as runSpec
+    // does.
+    io::ParseError error;
+    auto spec = io::experimentFromString(
+        "experiment v1\nseed 7\nwarmup 1\nmeasure 4\n"
+        "cluster planner10\nmodel llama30b\nsystem a swarm helix\n"
+        "scenario offline\nscenario online\nscenario bursty\n"
+        "scenario churn fail=0@0.3\n"
+        "scenario online-peak fraction=0.75\n",
+        error);
+    ASSERT_TRUE(spec.has_value()) << error.str();
     std::vector<Job> jobs;
-    for (const Scenario &scenario : scenarios::all()) {
+    for (const io::ScenarioSpec &scenario : spec->scenarios) {
         Job job;
-        job.label = scenario.name;
+        job.label = scenario.kind;
         job.deployment = &deployment;
         job.scheduler = SchedulerKind::Helix;
-        job.run = scenario.toRun(1.0, 4.0, 7);
+        job.run = scenarioRunConfig(*spec, scenario, 200.0);
         jobs.push_back(std::move(job));
     }
+    ASSERT_EQ(jobs.size(), 5u);
 
     RunnerOptions serial;
     serial.numThreads = 1;
@@ -202,62 +215,26 @@ TEST(ExperimentRunner, TaskExceptionsPropagateToCaller)
     }
 }
 
-TEST(Scenarios, CatalogMaterializesRunConfigs)
-{
-    Scenario churn = scenarios::churnSchedule(
-        {{sim::ChurnEvent::Kind::Fail, 2, 0.5}});
-    RunConfig run = churn.toRun(10.0, 30.0, 7);
-    ASSERT_EQ(run.churnEvents.size(), 1u);
-    EXPECT_EQ(run.churnEvents[0].node, 2);
-    EXPECT_DOUBLE_EQ(run.churnEvents[0].atSeconds, 20.0);
-    EXPECT_EQ(run.seed, 7u);
-
-    Scenario burst = scenarios::bursty(8.0, 10.0, 90.0);
-    RunConfig burst_run = burst.toRun(5.0, 20.0, 3);
-    EXPECT_EQ(burst_run.arrivals, ArrivalKind::Bursty);
-    EXPECT_DOUBLE_EQ(burst_run.burstMultiplier, 8.0);
-    EXPECT_TRUE(burst_run.churnEvents.empty());
-
-    Scenario schedule = scenarios::churnSchedule(
-        {{sim::ChurnEvent::Kind::Fail, 1, 0.25},
-         {sim::ChurnEvent::Kind::Recover, 1, 0.75}},
-        false);
-    RunConfig sched_run = schedule.toRun(10.0, 30.0, 7);
-    EXPECT_FALSE(sched_run.online);
-    ASSERT_EQ(sched_run.churnEvents.size(), 2u);
-    EXPECT_EQ(sched_run.churnEvents[0].kind,
-              sim::ChurnEvent::Kind::Fail);
-    EXPECT_EQ(sched_run.churnEvents[0].node, 1);
-    EXPECT_DOUBLE_EQ(sched_run.churnEvents[0].atSeconds, 10.0);
-    EXPECT_EQ(sched_run.churnEvents[1].kind,
-              sim::ChurnEvent::Kind::Recover);
-    EXPECT_DOUBLE_EQ(sched_run.churnEvents[1].atSeconds, 30.0);
-
-    EXPECT_EQ(scenarios::all().size(), 4u);
-}
-
 TEST(Sweep, ExpandsCartesianProductAndRuns)
 {
-    SweepConfig sweep;
-    sweep.clusters = {"planner10"};
-    sweep.models = {"llama30b"};
-    sweep.planners = {"swarm", "sp"};
-    sweep.schedulers = {"helix", "swarm"};
-    // Offline-mode churn saturates arrivals so the short smoke
-    // window is guaranteed traffic.
-    sweep.scenarios = {
-        scenarios::offline(),
-        scenarios::churnSchedule({{sim::ChurnEvent::Kind::Fail, 0, 0.3}},
-                                 false)};
-    sweep.plannerBudgetS = 0.05;
-    sweep.warmupSeconds = 1.0;
-    sweep.measureSeconds = 3.0;
+    // Planner x scheduler axes: every (planner, scheduler) pair runs
+    // every scenario. Offline-mode churn saturates arrivals so the
+    // short smoke window is guaranteed traffic.
+    io::ParseError error;
+    auto spec = io::experimentFromString(
+        "experiment v1\nwarmup 1\nmeasure 3\nplanner-budget 0.05\n"
+        "cluster planner10\nmodel llama30b\n"
+        "planner swarm\nplanner sp\n"
+        "scheduler helix\nscheduler swarm\n"
+        "scenario offline\nscenario churn fail=0@0.3 online=0\n",
+        error);
+    ASSERT_TRUE(spec.has_value()) << error.str();
 
-    auto results = runSweep(sweep);
-    ASSERT_EQ(results.size(), 8u); // 2 planners x 2 scheds x 2 scen.
+    auto results = runSpec(*spec, &error);
+    ASSERT_TRUE(results.has_value()) << error.str();
+    ASSERT_EQ(results->size(), 8u); // 2 planners x 2 scheds x 2 scen.
     bool any_traffic = false;
-    for (const auto &result : results) {
-        EXPECT_FALSE(result.label.empty());
+    for (const auto &result : *results) {
         EXPECT_GE(result.wallSeconds, 0.0);
         // A planner can legitimately produce a zero-throughput
         // placement on this small cluster (no complete pipeline);
@@ -269,30 +246,14 @@ TEST(Sweep, ExpandsCartesianProductAndRuns)
         }
     }
     EXPECT_TRUE(any_traffic);
-    // Labels carry the sweep coordinates.
-    EXPECT_NE(results[0].label.find("planner10"), std::string::npos);
-    EXPECT_NE(results[0].label.find("llama30b"), std::string::npos);
-    // Churn scenarios restart requests on the failed node's pipelines
-    // somewhere in the sweep.
-    long restarts = 0;
-    for (const auto &result : results)
-        restarts += result.metrics.requestsRestarted;
-    EXPECT_GE(restarts, 0);
-}
-
-TEST(Sweep, UnknownNamesAreSkippedNotFatal)
-{
-    SweepConfig sweep;
-    sweep.clusters = {"no-such-cluster", "planner10"};
-    sweep.models = {"llama30b"};
-    sweep.planners = {"swarm", "no-such-planner"};
-    sweep.schedulers = {"helix", "no-such-sched"};
-    sweep.scenarios = {scenarios::offline()};
-    sweep.plannerBudgetS = 0.05;
-    sweep.warmupSeconds = 1.0;
-    sweep.measureSeconds = 2.0;
-    auto results = runSweep(sweep);
-    EXPECT_EQ(results.size(), 1u);
+    // Labels carry the sweep coordinates, ordered by scenario, then
+    // planner, then scheduler.
+    EXPECT_EQ(results->front().label,
+              "planner10/llama30b/swarm/helix/offline");
+    EXPECT_EQ(results->at(3).label,
+              "planner10/llama30b/sp/swarm/offline");
+    EXPECT_EQ(results->back().label,
+              "planner10/llama30b/sp/swarm/churn");
 }
 
 TEST(Emitters, JsonAndCsvCarryEveryRow)

@@ -49,8 +49,8 @@ quickRun(bool online = false)
 {
     RunConfig run;
     run.online = online;
-    run.warmupSeconds = 20.0;
-    run.measureSeconds = 60.0;
+    run.sim.warmupSeconds = 20.0;
+    run.sim.measureSeconds = 60.0;
     run.seed = 17;
     return run;
 }

@@ -146,16 +146,16 @@ TEST(SpecGolden, ShippedExamplesParseAndValidate)
         EXPECT_TRUE(exp::validateSpec(*spec, &error))
             << name << ": " << error.str();
     }
-    // examples/fig6.exp is the smoke tier of bench_fig6: same
-    // windows, systems, and scenario structure.
+    // examples/fig6.exp is the fast tier (HELIX_BENCH_FAST) of
+    // bench_fig6: same windows, systems, and scenario structure.
     auto spec = io::experimentFromString(
         *io::readFile(examplePath("fig6.exp")));
     ASSERT_TRUE(spec.has_value());
     EXPECT_EQ(spec->name, "fig6");
     EXPECT_EQ(spec->seed, 42u);
-    EXPECT_DOUBLE_EQ(spec->warmupS, 1.0);
-    EXPECT_DOUBLE_EQ(spec->measureS, 3.0);
-    EXPECT_DOUBLE_EQ(spec->plannerBudgetS, 0.05);
+    EXPECT_DOUBLE_EQ(spec->warmupS, 30.0);
+    EXPECT_DOUBLE_EQ(spec->measureS, 60.0);
+    EXPECT_DOUBLE_EQ(spec->plannerBudgetS, 2.0);
     ASSERT_EQ(spec->models.size(), 2u);
     ASSERT_EQ(spec->systems.size(), 3u);
     EXPECT_EQ(spec->systems[0].label, "helix");
@@ -163,6 +163,8 @@ TEST(SpecGolden, ShippedExamplesParseAndValidate)
     EXPECT_EQ(spec->scenarios[1].kind, "online-peak");
     EXPECT_DOUBLE_EQ(spec->scenarios[1].get("fraction", 0), 0.75);
     EXPECT_DOUBLE_EQ(spec->scenarios[1].get("seed", 0), 43.0);
+    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("warmup", 0), 20.0);
+    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("measure", 0), 60.0);
 }
 
 // --- Parsing: round trip --------------------------------------------
@@ -508,7 +510,7 @@ TEST(SpecValidate, EnumeratedRegistryNamesAllResolve)
 
 // --- Scenario materialization ---------------------------------------
 
-TEST(SpecScenarios, RunConfigMatchesTheCatalog)
+TEST(SpecScenarios, ScenarioLinesMaterializeRunConfigs)
 {
     io::ExperimentSpec spec;
     spec.seed = 11;
@@ -520,10 +522,34 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     RunConfig run = exp::scenarioRunConfig(spec, offline, 0.0);
     EXPECT_FALSE(run.online);
     EXPECT_EQ(run.seed, 11u);
-    EXPECT_DOUBLE_EQ(run.warmupSeconds, 2.0);
-    EXPECT_DOUBLE_EQ(run.measureSeconds, 8.0);
+    EXPECT_DOUBLE_EQ(run.sim.warmupSeconds, 2.0);
+    EXPECT_DOUBLE_EQ(run.sim.measureSeconds, 8.0);
     EXPECT_EQ(run.arrivals, ArrivalKind::Auto);
     EXPECT_DOUBLE_EQ(run.requestRate, 0.0);
+    EXPECT_DOUBLE_EQ(run.utilization, 0.0);
+    EXPECT_TRUE(run.sim.churnEvents.empty());
+
+    // Online: diurnal (Auto) arrivals; utilization= overrides the
+    // mode's default load.
+    io::ScenarioSpec online;
+    online.kind = "online";
+    online.options = {{"utilization", 0.4}};
+    run = exp::scenarioRunConfig(spec, online, 0.0);
+    EXPECT_TRUE(run.online);
+    EXPECT_EQ(run.arrivals, ArrivalKind::Auto);
+    EXPECT_DOUBLE_EQ(run.utilization, 0.4);
+    EXPECT_DOUBLE_EQ(run.requestRate, 0.0);
+    EXPECT_EQ(run.seed, 11u);
+
+    // Bursty without options takes RunConfig's burst shape.
+    io::ScenarioSpec plain_bursty;
+    plain_bursty.kind = "bursty";
+    run = exp::scenarioRunConfig(spec, plain_bursty, 0.0);
+    RunConfig defaults;
+    EXPECT_EQ(run.arrivals, ArrivalKind::Bursty);
+    EXPECT_DOUBLE_EQ(run.burstMultiplier, defaults.burstMultiplier);
+    EXPECT_DOUBLE_EQ(run.burstMeanS, defaults.burstMeanS);
+    EXPECT_DOUBLE_EQ(run.burstGapS, defaults.burstGapS);
 
     io::ScenarioSpec bursty;
     bursty.kind = "bursty";
@@ -537,8 +563,24 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     EXPECT_DOUBLE_EQ(run.burstMeanS, 12.0);
     EXPECT_DOUBLE_EQ(run.burstGapS, 60.0);
     EXPECT_EQ(run.seed, 5u);
-    EXPECT_DOUBLE_EQ(run.warmupSeconds, 1.0);
-    EXPECT_DOUBLE_EQ(run.measureSeconds, 8.0);
+    EXPECT_DOUBLE_EQ(run.sim.warmupSeconds, 1.0);
+    EXPECT_DOUBLE_EQ(run.sim.measureSeconds, 8.0);
+    EXPECT_TRUE(run.sim.churnEvents.empty());
+
+    // Churn defaults to online mode; one event lands at its fraction
+    // of the (per-scenario) horizon.
+    io::ScenarioSpec churn;
+    churn.kind = "churn";
+    churn.options = {{"warmup", 10.0}, {"measure", 30.0},
+                     {"seed", 7.0}};
+    churn.events = {{true, 2, 0.5, 0}};
+    run = exp::scenarioRunConfig(spec, churn, 0.0);
+    EXPECT_TRUE(run.online);
+    EXPECT_EQ(run.seed, 7u);
+    EXPECT_DOUBLE_EQ(run.sim.driftThreshold, 0.0);
+    ASSERT_EQ(run.sim.churnEvents.size(), 1u);
+    EXPECT_EQ(run.sim.churnEvents[0].node, 2);
+    EXPECT_DOUBLE_EQ(run.sim.churnEvents[0].atSeconds, 20.0);
 
     // An event schedule materializes at fractions of the horizon.
     io::ScenarioSpec schedule;
@@ -547,14 +589,14 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     schedule.events = {{true, 1, 0.3, 0}, {false, 1, 0.6, 0}};
     run = exp::scenarioRunConfig(spec, schedule, 0.0);
     EXPECT_FALSE(run.online);
-    ASSERT_EQ(run.churnEvents.size(), 2u);
-    EXPECT_EQ(run.churnEvents[0].kind, sim::ChurnEvent::Kind::Fail);
-    EXPECT_EQ(run.churnEvents[0].node, 1);
-    EXPECT_DOUBLE_EQ(run.churnEvents[0].atSeconds,
+    ASSERT_EQ(run.sim.churnEvents.size(), 2u);
+    EXPECT_EQ(run.sim.churnEvents[0].kind, sim::ChurnEvent::Kind::Fail);
+    EXPECT_EQ(run.sim.churnEvents[0].node, 1);
+    EXPECT_DOUBLE_EQ(run.sim.churnEvents[0].atSeconds,
                      0.3 * (2.0 + 8.0));
-    EXPECT_EQ(run.churnEvents[1].kind,
+    EXPECT_EQ(run.sim.churnEvents[1].kind,
               sim::ChurnEvent::Kind::Recover);
-    EXPECT_DOUBLE_EQ(run.churnEvents[1].atSeconds,
+    EXPECT_DOUBLE_EQ(run.sim.churnEvents[1].atSeconds,
                      0.6 * (2.0 + 8.0));
 
     // online-peak reproduces bench_common's Sec. 6.2 derivation:
@@ -768,14 +810,14 @@ TEST(DocFileFormats, ChurnDriftRepairExampleRoundTrips)
     ASSERT_EQ(spec->scenarios.size(), 1u);
     RunConfig run =
         exp::scenarioRunConfig(*spec, spec->scenarios[0], 0.0);
-    EXPECT_DOUBLE_EQ(run.driftThreshold, 0.25);
-    ASSERT_EQ(run.churnEvents.size(), 2u);
-    EXPECT_EQ(run.churnEvents[0].kind, sim::ChurnEvent::Kind::Fail);
-    EXPECT_EQ(run.churnEvents[0].node, 4);
-    EXPECT_DOUBLE_EQ(run.churnEvents[0].atSeconds, 0.33 * 7.0);
-    EXPECT_EQ(run.churnEvents[1].kind,
+    EXPECT_DOUBLE_EQ(run.sim.driftThreshold, 0.25);
+    ASSERT_EQ(run.sim.churnEvents.size(), 2u);
+    EXPECT_EQ(run.sim.churnEvents[0].kind, sim::ChurnEvent::Kind::Fail);
+    EXPECT_EQ(run.sim.churnEvents[0].node, 4);
+    EXPECT_DOUBLE_EQ(run.sim.churnEvents[0].atSeconds, 0.33 * 7.0);
+    EXPECT_EQ(run.sim.churnEvents[1].kind,
               sim::ChurnEvent::Kind::Recover);
-    EXPECT_DOUBLE_EQ(run.churnEvents[1].atSeconds, 0.66 * 7.0);
+    EXPECT_DOUBLE_EQ(run.sim.churnEvents[1].atSeconds, 0.66 * 7.0);
 }
 
 TEST(SpecValidate, GeneratedClusterNamesResolveWithLineErrors)
@@ -866,8 +908,8 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
     };
     RunConfig offline;
     offline.online = false;
-    offline.warmupSeconds = 1.0;
-    offline.measureSeconds = 3.0;
+    offline.sim.warmupSeconds = 1.0;
+    offline.sim.measureSeconds = 3.0;
     offline.seed = 42;
     auto offline_rows = runner.run(make_jobs(offline));
     ASSERT_EQ(offline_rows.size(), 2u);
@@ -875,8 +917,8 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
 
     RunConfig online;
     online.online = true;
-    online.warmupSeconds = 1.0;
-    online.measureSeconds = 3.0;
+    online.sim.warmupSeconds = 1.0;
+    online.sim.measureSeconds = 3.0;
     online.seed = 43;
     trace::LengthModel lengths;
     online.requestRate = 0.75 *
